@@ -16,7 +16,7 @@ import (
 // semantic regions — so the exactness property is checked on geometry
 // the handcrafted test venue cannot represent (region-free hallways,
 // unreachable room pairs, multiple floors).
-func randomVenue(t *testing.T, rng *rand.Rand) *indoor.Space {
+func randomVenue(t testing.TB, rng *rand.Rand) *indoor.Space {
 	t.Helper()
 	b := indoor.NewBuilder()
 	floors := 1 + rng.Intn(2)
@@ -63,9 +63,10 @@ func randomVenue(t *testing.T, rng *rand.Rand) *indoor.Space {
 
 // randomWalkSequence fabricates a p-sequence wandering the venue:
 // dwell phases (short steps, long dts) alternating with transit phases
-// (long steps, short dts), sometimes drifting outside the venue bounds
-// so records with empty candidate sets occur.
-func randomWalkSequence(rng *rand.Rand, space *indoor.Space, n int) seq.PSequence {
+// (long steps, short dts), switching with probability switchP per
+// record, sometimes drifting outside the venue bounds so records with
+// empty candidate sets occur.
+func randomWalkSequence(rng *rand.Rand, space *indoor.Space, n int, switchP float64) seq.PSequence {
 	bounds := space.Bounds()
 	p := seq.PSequence{ObjectID: "rand"}
 	x := bounds.Min.X + rng.Float64()*(bounds.Max.X-bounds.Min.X)
@@ -74,7 +75,7 @@ func randomWalkSequence(rng *rand.Rand, space *indoor.Space, n int) seq.PSequenc
 	tcur := 0.0
 	dwell := rng.Intn(2) == 0
 	for i := 0; i < n; i++ {
-		if rng.Float64() < 0.15 {
+		if rng.Float64() < switchP {
 			dwell = !dwell
 		}
 		step, dt := 4.0, 4.0
@@ -120,17 +121,51 @@ func TestAnnotateMatchesReferenceOnRandomVenues(t *testing.T) {
 			t.Fatal(err)
 		}
 		for si := 0; si < 3; si++ {
-			p := randomWalkSequence(rng, space, 20+rng.Intn(60))
+			p := randomWalkSequence(rng, space, 20+rng.Intn(60), 0.15)
 			ctx := ex.NewSeqContext(&p, nil)
-			for oi, opts := range optsList {
-				want := referenceAnnotate(m, ctx, opts)
-				got := m.Annotate(ctx, opts)
-				for i := range want.Regions {
-					if got.Regions[i] != want.Regions[i] || got.Events[i] != want.Events[i] {
-						t.Fatalf("trial %d seq %d opts %d: label %d = (%v,%v), reference (%v,%v)",
-							trial, si, oi, i, got.Regions[i], got.Events[i], want.Regions[i], want.Events[i])
-					}
-				}
+			assertMatchesReference(t, m, ctx, optsList, fmt.Sprintf("trial %d seq %d", trial, si))
+		}
+	}
+	// Long dwells: phases of ~100 records, so segmentation runs span
+	// whole stays and drift across several regions.
+	space := randomVenue(t, rng)
+	m, ctx := longDwellFixture(t, rng, space, 400)
+	assertMatchesReference(t, m, ctx, optsList, "long dwell")
+}
+
+// longDwellFixture draws a random model whose event and region chains
+// are smooth enough to keep stays whole, and an n-record walk over
+// space with dwell phases of ~100 records.
+func longDwellFixture(t testing.TB, rng *rand.Rand, space *indoor.Space, n int) (*Model, *features.SeqContext) {
+	t.Helper()
+	params := testParams()
+	params.V = 4
+	m := NewModel(params)
+	for i := range m.Weights {
+		m.Weights[i] = rng.NormFloat64()
+	}
+	m.Weights[features.IdxEM] = 1 + rng.Float64()
+	m.Weights[features.IdxST] = 1 + rng.Float64()
+	m.Weights[features.IdxET] = 2 + rng.Float64()
+	ex, err := features.NewExtractor(space, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := randomWalkSequence(rng, space, n, 0.01)
+	return m, ex.NewSeqContext(&p, nil)
+}
+
+// assertMatchesReference annotates ctx under every option set and
+// requires labels byte-identical to the reference implementation.
+func assertMatchesReference(t *testing.T, m *Model, ctx *features.SeqContext, optsList []InferOptions, what string) {
+	t.Helper()
+	for oi, opts := range optsList {
+		want := referenceAnnotate(m, ctx, opts)
+		got := m.Annotate(ctx, opts)
+		for i := range want.Regions {
+			if got.Regions[i] != want.Regions[i] || got.Events[i] != want.Events[i] {
+				t.Fatalf("%s opts %d: label %d = (%v,%v), reference (%v,%v)",
+					what, oi, i, got.Regions[i], got.Events[i], want.Regions[i], want.Events[i])
 			}
 		}
 	}

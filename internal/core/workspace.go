@@ -10,8 +10,8 @@ import (
 )
 
 // Workspace holds every mutable buffer one inference run needs — the
-// R/E label slices, the candidate logits, feature scratch vectors and
-// a maintained running score — so that repeated annotation reuses the
+// saved initial and best labels, the candidate logits, feature scratch
+// vectors and a maintained running score — so that repeated annotation reuses the
 // same memory. A zero Workspace is ready to use; Annotate grows the
 // buffers to the bound sequence and performs no steady-state
 // allocation beyond the returned labels.
@@ -21,6 +21,10 @@ import (
 // features.RegionRunDelta), so block moves cost O(run·Dim) instead of
 // the O(n·Dim) full rescore the previous implementation paid per
 // tentative relabeling.
+//
+// The current configuration lives in the context's features.Labeling,
+// whose setters keep the run index the scoring kernels read in step
+// with every move.
 //
 // A Workspace is not safe for concurrent use. The public layer keeps a
 // sync.Pool of them, one handed to each annotation worker.
@@ -32,11 +36,11 @@ type Workspace struct {
 	score     float64
 	initScore float64
 
-	// R/E are the current configuration; initR/initE preserve the
-	// deterministic initialisation for the annealed restart; bestR/bestE
-	// hold the best fixed point found so far.
-	R     []indoor.RegionID
-	E     []seq.Event
+	// lab is the current configuration (the context's Labeling);
+	// initR/initE preserve the deterministic initialisation for the
+	// annealed restart; bestR/bestE hold the best fixed point found so
+	// far.
+	lab   *features.Labeling
 	initR []indoor.RegionID
 	initE []seq.Event
 	bestR []indoor.RegionID
@@ -70,13 +74,12 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 
 // Reset binds the workspace to a model and a prepared sequence
 // context, loads the deterministic initialisation (maximum-overlap
-// regions, density-tag events) into R/E and computes the starting
-// score with one full feature pass — the only full pass of the run.
+// regions, density-tag events) into the context's Labeling and
+// computes the starting score with one full feature pass — the only
+// full pass of the run.
 func (ws *Workspace) Reset(m *Model, ctx *features.SeqContext) {
 	n := ctx.Len()
 	ws.m, ws.ctx = m, ctx
-	ws.R = grow(ws.R, n)
-	ws.E = grow(ws.E, n)
 	ws.initR = grow(ws.initR, n)
 	ws.initE = grow(ws.initE, n)
 	ws.bestR = grow(ws.bestR, n)
@@ -88,11 +91,11 @@ func (ws *Workspace) Reset(m *Model, ctx *features.SeqContext) {
 	ws.dirtyE = grow(ws.dirtyE, n)
 	ws.dirtyB = grow(ws.dirtyB, n)
 	ws.markAllDirty()
-	InitRegionsInto(ctx, ws.R)
-	InitEventsInto(ctx, ws.E)
-	copy(ws.initR, ws.R)
-	copy(ws.initE, ws.E)
-	ctx.TotalFeatures(ws.R, ws.E, ws.buf)
+	InitRegionsInto(ctx, ws.initR)
+	InitEventsInto(ctx, ws.initE)
+	ws.lab = ctx.Labeling()
+	ws.lab.Reset(ws.initR, ws.initE)
+	ctx.TotalFeatures(ws.initR, ws.initE, ws.buf)
 	ws.score = dot(m.Weights, ws.buf)
 	ws.initScore = ws.score
 }
@@ -106,8 +109,8 @@ func (ws *Workspace) Score() float64 { return ws.score }
 // workspace.
 func (ws *Workspace) Labels() seq.Labels {
 	return seq.Labels{
-		Regions: append([]indoor.RegionID{}, ws.R...),
-		Events:  append([]seq.Event{}, ws.E...),
+		Regions: append([]indoor.RegionID{}, ws.lab.Regions()...),
+		Events:  append([]seq.Event{}, ws.lab.Events()...),
 	}
 }
 
@@ -118,7 +121,7 @@ func (ws *Workspace) Annotate(m *Model, ctx *features.SeqContext, opts InferOpti
 	return ws.Labels()
 }
 
-// annotate is Annotate leaving the result in ws.R/ws.E (and ws.score)
+// annotate is Annotate leaving the result in ws.lab (and ws.score)
 // without copying it out; the windowed path reads it in place.
 func (ws *Workspace) annotate(m *Model, ctx *features.SeqContext, opts InferOptions) {
 	if opts.MaxSweeps <= 0 {
@@ -133,28 +136,26 @@ func (ws *Workspace) annotate(m *Model, ctx *features.SeqContext, opts InferOpti
 	ws.icm(opts.MaxSweeps)
 	ws.blockICM(opts.MaxSweeps)
 	bestScore := ws.score
-	copy(ws.bestR, ws.R)
-	copy(ws.bestE, ws.E)
+	copy(ws.bestR, ws.lab.Regions())
+	copy(ws.bestE, ws.lab.Events())
 
 	// Second candidate: annealed Gibbs from the initialisation, then
 	// ICM; keep whichever fixed point scores higher. The annealing
 	// escapes local optima near region boundaries that greedy ICM
 	// cannot leave.
 	if opts.AnnealSweeps > 0 {
-		copy(ws.R, ws.initR)
-		copy(ws.E, ws.initE)
+		ws.lab.Reset(ws.initR, ws.initE)
 		ws.score = ws.initScore
 		ws.anneal(opts)
 		ws.icm(opts.MaxSweeps)
 		ws.blockICM(opts.MaxSweeps)
 		if ws.score > bestScore {
 			bestScore = ws.score
-			copy(ws.bestR, ws.R)
-			copy(ws.bestE, ws.E)
+			copy(ws.bestR, ws.lab.Regions())
+			copy(ws.bestE, ws.lab.Events())
 		}
+		ws.lab.Reset(ws.bestR, ws.bestE)
 	}
-	copy(ws.R, ws.bestR)
-	copy(ws.E, ws.bestE)
 	ws.score = bestScore
 }
 
@@ -173,7 +174,7 @@ func (ws *Workspace) annotate(m *Model, ctx *features.SeqContext, opts InferOpti
 // moves and terminates exactly where a full no-move sweep would.
 func (ws *Workspace) icm(maxSweeps int) {
 	ctx, w := ws.ctx, ws.m.Weights
-	R, E, buf := ws.R, ws.E, ws.buf
+	R, E := ws.lab.Regions(), ws.lab.Events()
 	n := ctx.Len()
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		changed := false
@@ -206,8 +207,7 @@ func (ws *Workspace) icm(maxSweeps int) {
 					// The current label came from a block move over a
 					// neighbour's candidate set and is not in this
 					// record's; score it explicitly for the delta.
-					ctx.LocalRegionFeatures(R, E, i, cur, buf)
-					curV = dot(w, buf)
+					curV = ctx.RegionScore(w, R, E, i, cur)
 				}
 				ws.applyRegionMove(i, best)
 				ws.score += bestV - curV
@@ -280,26 +280,30 @@ func (ws *Workspace) markRange(lo, hi int) {
 // the event run around i (whose segmentation statistics read region
 // labels) extended by one node.
 func (ws *Workspace) applyRegionMove(i int, r indoor.RegionID) {
-	R, E := ws.R, ws.E
-	n := len(R)
-	aO, bO := runStartR(R, i), runEndR(R, i)
-	loO, hiO := aO, bO
-	if aO > 0 {
-		loO = runStartR(R, aO-1)
-	}
-	if bO+1 < n {
-		hiO = runEndR(R, bO+1)
-	}
-	R[i] = r
-	aN, bN := runStartR(R, i), runEndR(R, i)
-	loN, hiN := aN, bN
-	if aN > 0 {
-		loN = runStartR(R, aN-1)
-	}
-	if bN+1 < n {
-		hiN = runEndR(R, bN+1)
-	}
-	ea, eb := runStartE(E, i), runEndE(E, i)
+	a, b := ws.lab.RegionRun(i)
+	ws.relabel(a, b, i, i, r)
+}
+
+// applyBlockMove relabels run [a, b] to r and marks its influence
+// range, mirroring applyRegionMove with the whole run as the changed
+// span.
+func (ws *Workspace) applyBlockMove(a, b int, r indoor.RegionID) {
+	ws.relabel(a, b, a, b, r)
+}
+
+// relabel writes r over [a, b] and marks the dirty range: the span
+// [lo, hi] before the move and the region runs around [a, b] after it,
+// each extended by the runs beside it, plus the event runs [a, b]
+// overlaps, all extended by one node.
+func (ws *Workspace) relabel(lo, hi, a, b int, r indoor.RegionID) {
+	L := ws.lab
+	loO, hiO := runWindow(L.RegionRun, L.Len(), lo, hi)
+	L.SetBlock(a, b, r)
+	aN, _ := L.RegionRun(a)
+	_, bN := L.RegionRun(b)
+	loN, hiN := runWindow(L.RegionRun, L.Len(), aN, bN)
+	ea, _ := L.EventRun(a)
+	_, eb := L.EventRun(b)
 	ws.markRange(min(min(loO, loN), ea)-1, max(max(hiO, hiN), eb)+1)
 }
 
@@ -307,84 +311,27 @@ func (ws *Workspace) applyRegionMove(i int, r indoor.RegionID) {
 // influence range unions the old and new event-run spans (extended by
 // the adjacent run and one node) with the region run around i.
 func (ws *Workspace) applyEventMove(i int, e seq.Event) {
-	R, E := ws.R, ws.E
-	n := len(E)
-	aO, bO := runStartE(E, i), runEndE(E, i)
-	loO, hiO := aO, bO
-	if aO > 0 {
-		loO = runStartE(E, aO-1)
-	}
-	if bO+1 < n {
-		hiO = runEndE(E, bO+1)
-	}
-	E[i] = e
-	aN, bN := runStartE(E, i), runEndE(E, i)
-	loN, hiN := aN, bN
-	if aN > 0 {
-		loN = runStartE(E, aN-1)
-	}
-	if bN+1 < n {
-		hiN = runEndE(E, bN+1)
-	}
-	ra, rb := runStartR(R, i), runEndR(R, i)
+	L := ws.lab
+	aO, bO := L.EventRun(i)
+	loO, hiO := runWindow(L.EventRun, L.Len(), aO, bO)
+	L.SetEvent(i, e)
+	aN, bN := L.EventRun(i)
+	loN, hiN := runWindow(L.EventRun, L.Len(), aN, bN)
+	ra, rb := L.RegionRun(i)
 	ws.markRange(min(min(loO, loN), ra)-1, max(max(hiO, hiN), rb)+1)
 }
 
-// applyBlockMove relabels run [a, b] to r and marks its influence
-// range, mirroring applyRegionMove with the whole run as the changed
-// span.
-func (ws *Workspace) applyBlockMove(a, b int, r indoor.RegionID) {
-	R, E := ws.R, ws.E
-	n := len(R)
-	loO, hiO := a, b
-	if a > 0 {
-		loO = runStartR(R, a-1)
+// runWindow extends [a, b] over the runs beside it, given run, the
+// run-extent lookup over n records.
+func runWindow(run func(int) (int, int), n, a, b int) (lo, hi int) {
+	lo, hi = a, b
+	if lo > 0 {
+		lo, _ = run(lo - 1)
 	}
-	if b+1 < n {
-		hiO = runEndR(R, b+1)
+	if hi+1 < n {
+		_, hi = run(hi + 1)
 	}
-	for y := a; y <= b; y++ {
-		R[y] = r
-	}
-	aN, bN := runStartR(R, a), runEndR(R, b)
-	loN, hiN := aN, bN
-	if aN > 0 {
-		loN = runStartR(R, aN-1)
-	}
-	if bN+1 < n {
-		hiN = runEndR(R, bN+1)
-	}
-	ea, eb := runStartE(E, a), runEndE(E, b)
-	ws.markRange(min(min(loO, loN), ea)-1, max(max(hiO, hiN), eb)+1)
-}
-
-// Run-extent helpers over the label slices.
-func runStartR(R []indoor.RegionID, i int) int {
-	for i > 0 && R[i-1] == R[i] {
-		i--
-	}
-	return i
-}
-
-func runEndR(R []indoor.RegionID, i int) int {
-	for i+1 < len(R) && R[i+1] == R[i] {
-		i++
-	}
-	return i
-}
-
-func runStartE(E []seq.Event, i int) int {
-	for i > 0 && E[i-1] == E[i] {
-		i--
-	}
-	return i
-}
-
-func runEndE(E []seq.Event, i int) int {
-	for i+1 < len(E) && E[i+1] == E[i] {
-		i++
-	}
-	return i
+	return lo, hi
 }
 
 // blockICM interleaves run-level region moves with node-level sweeps:
@@ -398,7 +345,7 @@ func runEndE(E []seq.Event, i int) int {
 // the running score, so the procedure terminates.
 func (ws *Workspace) blockICM(maxSweeps int) {
 	ctx, w := ws.ctx, ws.m.Weights
-	R, E := ws.R, ws.E
+	R, E := ws.lab.Regions(), ws.lab.Events()
 	n := ctx.Len()
 	if n == 0 {
 		return
@@ -406,10 +353,7 @@ func (ws *Workspace) blockICM(maxSweeps int) {
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		improved := false
 		for a := 0; a < n; {
-			b := a
-			for b+1 < n && R[b+1] == R[a] {
-				b++
-			}
+			_, b := ws.lab.RegionRun(a)
 			// Skip runs whose Markov blanket is untouched since they were
 			// last priced: the same extent re-prices to the same
 			// non-improving deltas, so the full sweep would make no move
@@ -467,7 +411,8 @@ func (ws *Workspace) blockICM(maxSweeps int) {
 // so anneal ends by re-arming them.
 func (ws *Workspace) anneal(opts InferOptions) {
 	ctx, w := ws.ctx, ws.m.Weights
-	R, E, buf := ws.R, ws.E, ws.buf
+	L := ws.lab
+	R, E := L.Regions(), L.Events()
 	n := ctx.Len()
 	rng := rand.New(rand.NewSource(opts.Seed + 0x5eed))
 	for sweep := 0; sweep < opts.AnnealSweeps; sweep++ {
@@ -497,10 +442,9 @@ func (ws *Workspace) anneal(opts InferOptions) {
 				k := sampleIndex(logits, rng)
 				if cands[k] != R[i] {
 					if math.IsInf(rawOld, -1) {
-						ctx.LocalRegionFeatures(R, E, i, R[i], buf)
-						rawOld = dot(w, buf)
+						rawOld = ctx.RegionScore(w, R, E, i, R[i])
 					}
-					R[i] = cands[k]
+					L.SetRegion(i, cands[k])
 					ws.score += raw[k] - rawOld
 				}
 			}
@@ -525,7 +469,7 @@ func (ws *Workspace) anneal(opts InferOptions) {
 			normalizeExp(logits, maxL)
 			k := sampleIndex(logits, rng)
 			if seq.Event(k) != E[i] {
-				E[i] = seq.Event(k)
+				L.SetEvent(i, seq.Event(k))
 				ws.score += raw[k] - rawOld
 			}
 		}
@@ -562,8 +506,8 @@ func (ws *Workspace) AnnotateWindowed(m *Model, ctx *features.SeqContext, p *seq
 		chunk.Records = p.Records[lo:hi]
 		ctx.Reset(&chunk, nil)
 		ws.annotate(m, ctx, opts.Infer)
-		copy(out.Regions[start:end], ws.R[start-lo:end-lo])
-		copy(out.Events[start:end], ws.E[start-lo:end-lo])
+		copy(out.Regions[start:end], ws.lab.Regions()[start-lo:end-lo])
+		copy(out.Events[start:end], ws.lab.Events()[start-lo:end-lo])
 	}
 	return out
 }

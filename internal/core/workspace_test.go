@@ -23,7 +23,7 @@ func randomModel(rng *rand.Rand) *Model {
 // scoreGap returns |running − recomputed| relative to the score scale.
 func scoreGap(t *testing.T, ws *Workspace, m *Model, ctx *features.SeqContext) float64 {
 	t.Helper()
-	full := m.Score(ctx, ws.R, ws.E)
+	full := m.Score(ctx, ws.lab.Regions(), ws.lab.Events())
 	return math.Abs(ws.Score()-full) / math.Max(1, math.Abs(full))
 }
 

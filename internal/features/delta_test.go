@@ -114,26 +114,44 @@ func TestRegionRunDeltaLeftNonMaximal(t *testing.T) {
 	}
 }
 
+// TestSingleMoveDeltasMatchFullRecompute checks the single-node moves
+// the candidate kernels price: the score difference between a node's
+// candidate and its current label must equal w applied to the
+// difference of two full feature passes.
 func TestSingleMoveDeltasMatchFullRecompute(t *testing.T) {
 	ctx := newCtx(t)
 	rng := rand.New(rand.NewSource(99))
 	n := ctx.Len()
-	delta := make([]float64, Dim)
-	scratch := make([]float64, Dim)
+	w := make([]float64, Dim)
+	scores := make([]float64, 8)
 	for trial := 0; trial < 30; trial++ {
-		R, E := randomConfig(ctx, rng)
+		for k := range w {
+			w[k] = rng.NormFloat64()
+		}
+		L := ctx.Labeling()
+		L.Reset(randomConfig(ctx, rng))
+		R, E := L.Regions(), L.Events()
 		for i := 0; i < n; i++ {
-			for r := indoor.RegionID(0); r < 3; r++ {
-				ctx.RegionMoveDelta(R, E, i, r, scratch, delta)
-				R2 := append([]indoor.RegionID(nil), R...)
-				R2[i] = r
-				assertClose(t, delta, totalDiff(ctx, R, E, R2, E), "region move delta")
+			cands := ctx.Candidates[i]
+			if cur := candIndex(cands, R[i]); cur >= 0 {
+				ctx.RegionCandScores(w, R, E, i, scores[:len(cands)])
+				for k, r := range cands {
+					R2 := append([]indoor.RegionID(nil), R...)
+					R2[i] = r
+					want := Dot(w, totalDiff(ctx, R, E, R2, E))
+					if got := scores[k] - scores[cur]; math.Abs(got-want) > 1e-9 {
+						t.Fatalf("trial %d node %d: region move to %v = %.12g, want %.12g", trial, i, r, got, want)
+					}
+				}
 			}
+			ctx.EventCandScores(w, R, E, i, scores[:seq.NumEvents])
 			for e := 0; e < seq.NumEvents; e++ {
-				ctx.EventMoveDelta(R, E, i, seq.Event(e), scratch, delta)
 				E2 := append([]seq.Event(nil), E...)
 				E2[i] = seq.Event(e)
-				assertClose(t, delta, totalDiff(ctx, R, E, R, E2), "event move delta")
+				want := Dot(w, totalDiff(ctx, R, E, R, E2))
+				if got := scores[e] - scores[E[i]]; math.Abs(got-want) > 1e-9 {
+					t.Fatalf("trial %d node %d: event move to %d = %.12g, want %.12g", trial, i, e, got, want)
+				}
 			}
 		}
 	}

@@ -11,8 +11,8 @@ import (
 
 // randConfig draws a random labeling: regions from the candidate sets
 // most of the time, but sometimes an arbitrary region (as block moves
-// produce) or NoRegion, so the fused path is exercised on every label
-// shape the inference loop can feed it.
+// produce) or NoRegion, so the kernels are exercised on every label
+// shape the inference loop can feed them.
 func randConfig(rng *rand.Rand, c *SeqContext, numRegions int) ([]indoor.RegionID, []seq.Event) {
 	n := c.Len()
 	R := make([]indoor.RegionID, n)
@@ -31,11 +31,10 @@ func randConfig(rng *rand.Rand, c *SeqContext, numRegions int) ([]indoor.RegionI
 	return R, E
 }
 
-// TestFusedScoresBitwiseIdentical pins the fused extract-and-dot path
-// against the reference LocalRegionFeatures/LocalEventFeatures + Dot
-// composition: the scores must match bit for bit across random
-// configurations, clique ablations, time-decay variants and region
-// priors.
+// TestFusedScoresBitwiseIdentical pins the indexed kernels against the
+// reference LocalRegionFeatures/LocalEventFeatures + Dot composition:
+// the scores must match bit for bit across random configurations,
+// clique ablations, time-decay variants and region priors.
 func TestFusedScoresBitwiseIdentical(t *testing.T) {
 	space := testSpace(t)
 	paramSets := []Params{
@@ -58,7 +57,9 @@ func TestFusedScoresBitwiseIdentical(t *testing.T) {
 			for k := range w {
 				w[k] = rng.NormFloat64()
 			}
-			R, E := randConfig(rng, ctx, space.NumRegions())
+			L := ctx.Labeling()
+			L.Reset(randConfig(rng, ctx, space.NumRegions()))
+			R, E := L.Regions(), L.Events()
 			for i := 0; i < ctx.Len(); i++ {
 				cands := ctx.Candidates[i]
 				scores := make([]float64, len(cands))
@@ -98,7 +99,9 @@ func TestFusedScoresHandAssembledExtractor(t *testing.T) {
 		w[k] = rng.NormFloat64()
 	}
 	buf := make([]float64, Dim)
-	R, E := randConfig(rng, ctx, space.NumRegions())
+	L := ctx.Labeling()
+	L.Reset(randConfig(rng, ctx, space.NumRegions()))
+	R, E := L.Regions(), L.Events()
 	for i := 0; i < ctx.Len(); i++ {
 		cands := ctx.Candidates[i]
 		scores := make([]float64, len(cands))
@@ -135,5 +138,36 @@ func TestExtractorSTKernel(t *testing.T) {
 	}
 	if got := ctx.fastST(0, indoor.NoRegion, 0); got != 0 {
 		t.Fatalf("fastST(NoRegion, 0) = %v, want 0", got)
+	}
+}
+
+// TestSCMemoMatchesSC checks the per-edge fsc memo against the SC
+// feature function on every candidate pair, with and without time
+// decay, and the direct fallback for labels outside the candidates.
+func TestSCMemoMatchesSC(t *testing.T) {
+	space := testSpace(t)
+	decay := testParams()
+	decay.TimeDecaySC = 0.02
+	for _, params := range []Params{testParams(), decay} {
+		ex, err := NewExtractor(space, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := ex.NewSeqContext(walkSequence(), nil)
+		for i := 0; i+1 < ctx.Len(); i++ {
+			for ka, ra := range ctx.Candidates[i] {
+				for kb, rb := range ctx.Candidates[i+1] {
+					if got, want := ctx.scAt(i, ra, rb, ka, kb), ctx.SC(i, ra, rb); got != want {
+						t.Fatalf("edge %d (%v,%v): memo %v, SC %v", i, ra, rb, got, want)
+					}
+				}
+			}
+			for r := indoor.NoRegion; int(r) < space.NumRegions(); r++ {
+				ka, kb := candIndex(ctx.Candidates[i], r), candIndex(ctx.Candidates[i+1], 0)
+				if got, want := ctx.scAt(i, r, 0, ka, kb), ctx.SC(i, r, 0); got != want {
+					t.Fatalf("edge %d (%v,0): %v, SC %v", i, r, got, want)
+				}
+			}
+		}
 	}
 }

@@ -205,8 +205,6 @@ type SeqContext struct {
 	// Candidates holds each record's candidate region labels.
 	Candidates [][]indoor.RegionID
 
-	// overlap[i][k] is fsm(θi, Candidates[i][k]).
-	overlap [][]float64
 	// dist[i] is dE(θi.l, θi+1.l); n-1 entries.
 	dist []float64
 	// dt[i] is θi+1.t − θi.t; n-1 entries.
@@ -216,14 +214,15 @@ type SeqContext struct {
 	// distCum[k] = Σ_{x<k} dist[x]; n entries.
 	distCum []float64
 	// turnCum[k] = number of turn points among 1..k; n entries.
-	turnCum []int
+	turnCum []int32
 
-	// Reusable backing storage. candArena/ovArena hold every record's
-	// candidates/overlaps contiguously; candOff[i] is record i's offset
-	// (n+1 entries). Candidates/overlap above are re-sliced views into
-	// the arenas on every Reset.
+	// Reusable backing storage. candArena holds every record's
+	// candidates contiguously, and ovArena their fsm overlaps
+	// fsm(θi, Candidates[i][k]) at the same positions; candOff[i] is
+	// record i's offset (n+1 entries). Candidates above are re-sliced
+	// views into the arena on every Reset.
 	candArena      []indoor.RegionID
-	candOff        []int
+	candOff        []int32
 	ovArena        []float64
 	pts            []cluster.Point
 	clusterRes     cluster.Result
@@ -241,9 +240,17 @@ type SeqContext struct {
 	// exp(−γ'·Δt) of fst/fsc; empty when the decay is disabled.
 	stDecay []float64
 	scDecay []float64
+	// scMemo[scOff[i]+ka·len(Candidates[i+1])+kb] is the fsc value
+	// SC(i, Candidates[i][ka], Candidates[i+1][kb]) of edge i; empty
+	// when the synchronization cliques are off.
+	scMemo []float64
+	scOff  []int32
 	// scoreBuf is the Dim-vector the fused path assembles feature
 	// values into before the dot product.
 	scoreBuf []float64
+
+	// lab is the labeling the kernels score, with its run index.
+	lab Labeling
 }
 
 // NewSeqContext precomputes the context of one p-sequence. When
@@ -264,7 +271,6 @@ func (c *SeqContext) Reset(p *seq.PSequence, truth []indoor.RegionID) {
 	n := p.Len()
 	c.P = p
 	c.Candidates = growSlice(c.Candidates, n)
-	c.overlap = growSlice(c.overlap, n)
 	c.dist = growSlice(c.dist, max(0, n-1))
 	c.dt = growSlice(c.dt, max(0, n-1))
 	c.speedNorm = growSlice(c.speedNorm, max(0, n-1))
@@ -295,28 +301,26 @@ func (c *SeqContext) Reset(p *seq.PSequence, truth []indoor.RegionID) {
 	}
 	c.candArena = c.candArena[:0]
 	for i, rec := range p.Records {
-		c.candOff[i] = len(c.candArena)
+		c.candOff[i] = int32(len(c.candArena))
 		if cache != nil {
 			c.candArena = cache.CandidateRegions(rec.Loc, c.candArena)
 		} else {
 			c.candArena, c.idsScratch = ex.Space.CandidateRegionsScratch(rec.Loc, ex.Params.V, c.candArena, c.idsScratch)
 		}
-		if truth != nil && truth[i] != indoor.NoRegion && !containsRegion(c.candArena[c.candOff[i]:], truth[i]) {
-			c.candArena = insertRegion(c.candArena, c.candOff[i], truth[i])
+		if lo := int(c.candOff[i]); truth != nil && truth[i] != indoor.NoRegion && !containsRegion(c.candArena[lo:], truth[i]) {
+			c.candArena = insertRegion(c.candArena, lo, truth[i])
 		}
 	}
-	c.candOff[n] = len(c.candArena)
+	c.candOff[n] = int32(len(c.candArena))
 
 	// fsm overlaps, arena-backed like the candidates.
 	c.ovArena = growSlice(c.ovArena, len(c.candArena))
 	for i, rec := range p.Records {
 		lo, hi := c.candOff[i], c.candOff[i+1]
 		c.Candidates[i] = c.candArena[lo:hi:hi]
-		ov := c.ovArena[lo:hi:hi]
 		for k, r := range c.Candidates[i] {
-			ov[k] = ex.Space.UncertaintyOverlap(rec.Loc, ex.Params.V, r)
+			c.ovArena[int(lo)+k] = ex.Space.UncertaintyOverlap(rec.Loc, ex.Params.V, r)
 		}
-		c.overlap[i] = ov
 	}
 
 	// Pairwise distances, times and speeds.
@@ -332,9 +336,10 @@ func (c *SeqContext) Reset(p *seq.PSequence, truth []indoor.RegionID) {
 	}
 
 	// Per-edge memos for the fused scoring path: the three possible fec
-	// values per edge and the optional fst/fsc time-decay multipliers.
-	// Each stores exactly the value the reference feature function
-	// computes, so fused scores stay bitwise-identical.
+	// values per edge, the optional fst/fsc time-decay multipliers and
+	// the fsc value of every candidate pair. Each stores exactly the
+	// value the reference feature function computes, so fused scores
+	// stay bitwise-identical.
 	c.ecExp = growSlice(c.ecExp, 3*max(0, n-1))
 	for i := 0; i+1 < n; i++ {
 		c.ecExp[3*i] = math.Exp(-math.Abs(c.speedNorm[i] - 0))
@@ -357,6 +362,26 @@ func (c *SeqContext) Reset(p *seq.PSequence, truth []indoor.RegionID) {
 	} else {
 		c.scDecay = c.scDecay[:0]
 	}
+	c.scMemo = c.scMemo[:0]
+	if ex.Params.Cliques.Has(Synchronization) {
+		c.scOff = growSlice(c.scOff, max(0, n-1))
+		size := 0
+		for i := 0; i+1 < n; i++ {
+			c.scOff[i] = int32(size)
+			size += len(c.Candidates[i]) * len(c.Candidates[i+1])
+		}
+		c.scMemo = growSlice(c.scMemo, size)
+		for i := 0; i+1 < n; i++ {
+			k := int(c.scOff[i])
+			for _, ra := range c.Candidates[i] {
+				for _, rb := range c.Candidates[i+1] {
+					c.scMemo[k] = c.scDirect(i, ra, rb)
+					k++
+				}
+			}
+		}
+	}
+	c.lab.clear()
 	if n > 0 {
 		c.distCum[0] = 0
 		c.turnCum[0] = 0
@@ -412,7 +437,7 @@ func (c *SeqContext) Len() int { return c.P.Len() }
 func (c *SeqContext) SM(i int, r indoor.RegionID) float64 {
 	for k, cand := range c.Candidates[i] {
 		if cand == r {
-			return c.overlap[i][k] * c.prior(r)
+			return c.overlapAt(i, k) * c.prior(r)
 		}
 	}
 	if r == indoor.NoRegion {
@@ -422,6 +447,9 @@ func (c *SeqContext) SM(i int, r indoor.RegionID) float64 {
 	// overlap.
 	return c.Ex.Space.UncertaintyOverlap(c.P.Records[i].Loc, c.Ex.Params.V, r) * c.prior(r)
 }
+
+// overlapAt is fsm(θi, Candidates[i][k]) without the prior.
+func (c *SeqContext) overlapAt(i, k int) float64 { return c.ovArena[int(c.candOff[i])+k] }
 
 // prior returns the fsm multiplier for region r (1 when no prior is
 // configured or r is out of range).
@@ -512,7 +540,7 @@ func (c *SeqContext) segTurns(a, b int) int {
 	if b-a < 2 {
 		return 0
 	}
-	return c.turnCum[b-1] - c.turnCum[a]
+	return int(c.turnCum[b-1] - c.turnCum[a])
 }
 
 // segSpeedNorm returns the normalised average speed over [a, b].

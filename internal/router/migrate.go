@@ -133,7 +133,9 @@ func (rt *Router) Migrate(ctx context.Context, venue, to string) (MigrationRepor
 }
 
 // waitSettled polls the venue's pipeline counters on the drained
-// source until two consecutive reads agree.
+// source until two consecutive reads agree. Only the write path counts:
+// the query-cache counters move with every read the venue keeps
+// answering while drained, and say nothing about its state.
 func (rt *Router) waitSettled(ctx context.Context, backend, venue string) error {
 	const maxPolls = 100
 	var prev c2mn.EngineStats
@@ -143,6 +145,7 @@ func (rt *Router) waitSettled(ctx context.Context, backend, venue string) error 
 		if err := rt.backendJSON(ctx, http.MethodGet, venuePath(backend, venue, "stats"), nil, &cur); err != nil {
 			return err
 		}
+		cur.QueryCacheHits, cur.QueryCacheMisses, cur.QueryCacheRevalidations = 0, 0, 0
 		if have && cur == prev {
 			return nil
 		}

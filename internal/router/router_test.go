@@ -69,7 +69,10 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 			f.writeUnknownVenue(w, r.PathValue("venue"))
 			return
 		}
-		writeJSON(w, http.StatusOK, v.Stats)
+		f.mu.Lock()
+		st := v.Stats
+		f.mu.Unlock()
+		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("POST /v1/venues/{venue}/feed", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -130,7 +133,9 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 			return
 		}
 		f.record("fetch " + r.PathValue("venue"))
+		f.mu.Lock()
 		buf, _ := json.Marshal(v)
+		f.mu.Unlock()
 		w.Write(buf)
 	})
 	mux.HandleFunc("PUT /v1/venues/{venue}/snapshot/file", func(w http.ResponseWriter, r *http.Request) {
@@ -220,7 +225,9 @@ func (f *fakeBackend) writeUnknownVenue(w http.ResponseWriter, id string) {
 }
 
 // handleQuery serves single-venue-scope queries from the canned
-// counts, truncating to K like the real registry.
+// counts, truncating to K like the real registry, and counts each one
+// as a query-cache hit. A venue drained for cutover redirects the query
+// to its new owner.
 func (f *fakeBackend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -233,11 +240,22 @@ func (f *fakeBackend) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := req.Venues[0]
+	f.mu.Lock()
+	redirect := f.drained[id]
+	f.mu.Unlock()
+	if redirect != "" {
+		w.Header().Set("Location", redirect+"/v1/query")
+		w.WriteHeader(http.StatusTemporaryRedirect)
+		return
+	}
 	v, ok := f.venue(id)
 	if !ok {
 		f.writeUnknownVenue(w, id)
 		return
 	}
+	f.mu.Lock()
+	v.Stats.QueryCacheHits++
+	f.mu.Unlock()
 	res := c2mn.QueryResult{Kind: req.Kind, Scope: c2mn.ScopeVenue, K: req.K, Scanned: []string{id}}
 	if req.Kind == c2mn.QueryFrequentPairs {
 		res.Pairs = query.TruncatePairCounts(v.Pairs, req.K)
@@ -641,6 +659,89 @@ func TestRouterMigrationSequence(t *testing.T) {
 	if report2.Status != "already there" {
 		t.Fatalf("repeat migration status = %q", report2.Status)
 	}
+}
+
+// TestRouterMigrationSettlesUnderReads migrates a venue while a reader
+// polls it through the router. Every read moves the source's query-cache
+// counters, so the settle check must look at the write path only; the
+// migration has to succeed and every answer has to match.
+func TestRouterMigrationSettlesUnderReads(t *testing.T) {
+	src, dst := newFakeBackend(t), newFakeBackend(t)
+	src.venues["north"] = randomCounts(rand.New(rand.NewSource(3)))
+	src.venues["north"].Stats = c2mn.EngineStats{FedRecords: 42, StoredSequences: 5}
+	want := src.venues["north"].Regions
+	dst.venues["north"] = &fakeVenue{}
+	rt := testRouter(t, Config{}, src, dst)
+	ts := routerServer(t, rt)
+	rt.mu.Lock()
+	rt.pins["north"] = src.srv.URL
+	rt.mu.Unlock()
+
+	stop := make(chan struct{})
+	var reads int
+	var readErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		body := `{"kind":"popular-regions","scope":"venue","venues":["north"],"k":100}`
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+			if err != nil {
+				readErr = err
+				return
+			}
+			var got queryResponse
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				readErr = fmt.Errorf("read %d: status %s, decode error %v", reads, resp.Status, err)
+				return
+			}
+			if fmt.Sprint(got.Regions) != fmt.Sprint(want) {
+				readErr = fmt.Errorf("read %d = %v, want %v", reads, got.Regions, want)
+				return
+			}
+			reads++
+		}
+	}()
+	// Let the reader get going so the drain starts under reads.
+	for deadline := time.Now().Add(5 * time.Second); src.hits() < 3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	report, err := rt.Migrate(context.Background(), "north", dst.srv.URL)
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatalf("migration under reads: %v", err)
+	}
+	if report.Status != "migrated" {
+		t.Fatalf("report = %+v", report)
+	}
+	if readErr != nil {
+		t.Fatal(readErr)
+	}
+	if reads == 0 {
+		t.Fatal("the reader completed no reads")
+	}
+	if v, ok := dst.venue("north"); !ok || v.Stats.FedRecords != 42 {
+		t.Fatalf("restored venue state = %+v", v)
+	}
+}
+
+// hits returns the query-cache hits the backend's venues have counted.
+func (f *fakeBackend) hits() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var n int64
+	for _, v := range f.venues {
+		n += v.Stats.QueryCacheHits
+	}
+	return n
 }
 
 func TestRouterMigrationRollsBackOnRestoreFailure(t *testing.T) {

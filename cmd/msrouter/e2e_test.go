@@ -102,7 +102,7 @@ func startProc(t *testing.T, name, bin string, args []string, marker string) *pr
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(p.base + "/healthz")
+		resp, err := http.Get(p.base + "/v1/healthz")
 		if err == nil {
 			resp.Body.Close()
 			return p
@@ -397,7 +397,7 @@ func TestRouterMigrationE2E(t *testing.T) {
 	waitReady := func() {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			resp, err := http.Get(rtr.base + "/readyz")
+			resp, err := http.Get(rtr.base + "/v1/readyz")
 			if err == nil {
 				resp.Body.Close()
 				if resp.StatusCode == http.StatusOK {
@@ -415,7 +415,7 @@ func TestRouterMigrationE2E(t *testing.T) {
 	// owner asks the router where a venue's traffic goes.
 	owner := func(venue string) string {
 		t.Helper()
-		resp := doJSON(t, http.MethodGet, rtr.base+"/admin/assignments", routerToken, nil)
+		resp := doJSON(t, http.MethodGet, rtr.base+"/v1/admin/assignments", routerToken, nil)
 		var body struct {
 			Assignments []struct {
 				Venue   string `json:"venue"`
@@ -560,7 +560,7 @@ func TestRouterMigrationE2E(t *testing.T) {
 	// rounds must have revalidated cached partials, and the duplicate
 	// query must have reused at least one via 304.
 	{
-		resp := doJSON(t, http.MethodGet, rtr.base+"/admin/backends", routerToken, nil)
+		resp := doJSON(t, http.MethodGet, rtr.base+"/v1/admin/backends", routerToken, nil)
 		var body struct {
 			ScatterCache struct {
 				Hits          int64 `json:"hits"`
@@ -601,7 +601,7 @@ func TestRouterMigrationE2E(t *testing.T) {
 
 	// Live traffic during the first migration: stream the withheld
 	// open-fragment tail into the venue that is NOT migrating, one
-	// record at a time, while /admin/migrate runs.
+	// record at a time, while /v1/admin/migrate runs.
 	other := "north"
 	if victims[0] == "north" {
 		other = "south"
@@ -616,7 +616,7 @@ func TestRouterMigrationE2E(t *testing.T) {
 	}()
 
 	for i, v := range victims {
-		resp := doJSON(t, http.MethodPost, rtr.base+"/admin/migrate", routerToken,
+		resp := doJSON(t, http.MethodPost, rtr.base+"/v1/admin/migrate", routerToken,
 			map[string]string{"venue": v, "to": b2.base})
 		var report struct {
 			Status string `json:"status"`
@@ -656,7 +656,7 @@ func TestRouterMigrationE2E(t *testing.T) {
 	b1.kill()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp := doJSON(t, http.MethodGet, rtr.base+"/admin/backends", routerToken, nil)
+		resp := doJSON(t, http.MethodGet, rtr.base+"/v1/admin/backends", routerToken, nil)
 		var body struct {
 			Backends []struct {
 				URL   string `json:"url"`

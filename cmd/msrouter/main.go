@@ -1,6 +1,6 @@
 // Command msrouter is the stateless routing tier in front of a fleet
 // of msserve backends. It owns no venue state: it keeps a backend
-// table, health-checks each backend's /readyz, learns which backend
+// table, health-checks each backend's /v1/readyz, learns which backend
 // hosts which venue, and places every venue on exactly one backend by
 // rendezvous (highest-random-weight) hashing — overridable per venue
 // with an explicit pin. Because the placement function is
@@ -28,8 +28,7 @@
 // cutover and backend death via Last-Event-ID resume.
 //
 // Router-specific endpoints (the router's own admin plane lives under
-// /v1/admin/; the pre-consolidation /admin/* mounts stay as deprecated
-// aliases answering with Deprecation + successor-version Link headers):
+// /v1/admin/, next to the proxied backend admin tree):
 //
 //	GET    /v1/admin/backends      backend table with health + hosted venues
 //	POST   /v1/admin/backends      {"url"}: add a backend
@@ -38,12 +37,12 @@
 //	POST   /v1/admin/pins          {"venue","backend"}: pin a venue
 //	DELETE /v1/admin/pins?venue=   drop a pin (placement reverts to HRW)
 //	POST   /v1/admin/migrate       {"venue","to"}: live-migrate a venue
-//	GET    /healthz                router liveness
-//	GET    /readyz                 503 until at least one backend is ready
+//	GET    /v1/healthz             router liveness
+//	GET    /v1/readyz              503 until at least one backend is ready
 //
-// The backends' consolidated /v1/admin/venues/{venue}/... tree proxies
-// through to the venue's owner, with one router-side guard: a retrain
-// trigger (POST .../retrain) against a venue mid-migration answers 409
+// The backends' /v1/admin/venues tree proxies through to the venue's
+// owner, with one router-side guard: a retrain trigger (POST
+// .../retrain) against a venue mid-migration answers 409
 // migration_conflict before reaching the backend — a hot swap landing
 // under a migration would rotate the model the snapshot's identity
 // guards were checked against.
@@ -65,18 +64,17 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
+	"c2mn/internal/httpx"
 	"c2mn/internal/router"
 )
 
@@ -87,7 +85,7 @@ func main() {
 	addr := flag.String("addr", ":9090", "listen address")
 	backends := flag.String("backends", "", "comma-separated msserve base URLs (http://host:port)")
 	adminToken := flag.String("admin-token", os.Getenv("MSROUTER_ADMIN_TOKEN"),
-		"bearer token required on the router's /admin endpoints (empty = open)")
+		"bearer token required on the router's /v1/admin endpoints (empty = open)")
 	backendToken := flag.String("backend-token", os.Getenv("MSSERVE_ADMIN_TOKEN"),
 		"bearer token the router presents to backend admin endpoints during migrations")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "backend health-check period")
@@ -107,7 +105,9 @@ func main() {
 	flag.Parse()
 
 	if *pprofAddr != "" {
-		startPprof(*pprofAddr)
+		if err := httpx.StartPprof(*pprofAddr); err != nil {
+			log.Fatal(err)
+		}
 	}
 	var list []string
 	for _, u := range strings.Split(*backends, ",") {
@@ -142,44 +142,11 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("routing %d backend(s) on %s", len(list), ln.Addr())
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-	stop()
-	// Standing watch streams never go idle; tell them to say goodbye
-	// before Shutdown starts counting, or the drain always times out.
-	rt.StopWatches()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+	// Drain order: restore default signal handling (a second signal
+	// kills), then end the standing watch streams — they never go idle,
+	// so Shutdown's wait would otherwise always time out.
+	if err := httpx.Serve(ctx, srv, ln, *drain, func() { stop(); rt.StopWatches() }); err != nil {
 		log.Fatal(err)
 	}
 	log.Print("drained, bye")
-}
-
-// startPprof serves the net/http/pprof endpoints on their own listener
-// and mux — never on the public -addr server, which fronts untrusted
-// traffic. The explicit mux keeps the profiling surface disjoint from
-// http.DefaultServeMux registrations.
-func startPprof(addr string) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatalf("pprof listener: %v", err)
-	}
-	log.Printf("pprof on http://%s/debug/pprof/", ln.Addr())
-	go func() {
-		if err := http.Serve(ln, mux); err != nil {
-			log.Printf("pprof server: %v", err)
-		}
-	}()
 }

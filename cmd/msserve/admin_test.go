@@ -1,12 +1,11 @@
 package main
 
-// Tests for the consolidated /v1/admin surface: the single token
-// chokepoint, the deprecated aliases' steering headers, the typed
-// 404/405 envelope, and the retraining endpoints end to end.
+// Tests for the /v1/admin surface: the single token chokepoint, the
+// typed 404/405 envelope on every path (former aliases included), and
+// the retraining endpoints end to end.
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +13,7 @@ import (
 	"testing"
 
 	"c2mn"
+	"c2mn/internal/httpx"
 	"c2mn/internal/sim"
 )
 
@@ -45,10 +45,10 @@ func doReq(t *testing.T, method, url, token string, body any) *http.Response {
 	return resp
 }
 
-func wireErrorOf(t *testing.T, resp *http.Response) wireError {
+func wireErrorOf(t *testing.T, resp *http.Response) httpx.WireError {
 	t.Helper()
 	var body struct {
-		Error wireError `json:"error"`
+		Error httpx.WireError `json:"error"`
 	}
 	defer resp.Body.Close()
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
@@ -57,9 +57,8 @@ func wireErrorOf(t *testing.T, resp *http.Response) wireError {
 	return body.Error
 }
 
-// TestAdminSurfaceToken pins the single chokepoint: every mutating
-// route — canonical /v1/admin, deprecated /v1 and bare legacy mounts
-// alike — refuses without the bearer token and proceeds with it.
+// TestAdminSurfaceToken pins the single chokepoint: every /v1/admin
+// route refuses without the bearer token and proceeds with it.
 func TestAdminSurfaceToken(t *testing.T) {
 	registry, _ := testRegistry(t, "default")
 	ts := httptest.NewServer(newServer(registry, defaultMaxBody, "sesame"))
@@ -76,12 +75,6 @@ func TestAdminSurfaceToken(t *testing.T) {
 		{"POST", "/v1/admin/venues/default/retrain"},
 		{"GET", "/v1/admin/venues/default/retrain"},
 		{"POST", "/v1/admin/venues/default/feedback"},
-		// Deprecated aliases share the same check.
-		{"POST", "/v1/venues"},
-		{"DELETE", "/v1/venues/default"},
-		{"POST", "/v1/venues/default/drain"},
-		{"POST", "/venues"},
-		{"DELETE", "/venues/default"},
 	}
 	for _, p := range paths {
 		resp := doReq(t, p.method, ts.URL+p.path, "", nil)
@@ -108,43 +101,67 @@ func TestAdminSurfaceToken(t *testing.T) {
 	}
 }
 
-// TestAdminAliasHeaders: the pre-consolidation mounts steer to the
-// /v1/admin successor; the canonical tree carries no deprecation.
-func TestAdminAliasHeaders(t *testing.T) {
+// TestFormerAliasesAreGone: every route that used to alias the /v1 or
+// /v1/admin tree — the unversioned data plane, the pre-consolidation
+// admin mounts and the bare probes — now answers the typed 404 or 405
+// envelope, and no response steers anywhere with a Deprecation header.
+func TestFormerAliasesAreGone(t *testing.T) {
 	registry, _ := testRegistry(t, "default")
 	ts := httptest.NewServer(newServer(registry, defaultMaxBody, ""))
 	defer ts.Close()
 
-	cases := []struct{ method, path, successor string }{
-		{"POST", "/v1/venues/default/drain", "/v1/admin/venues/default/drain"},
-		{"DELETE", "/v1/venues/default/drain", "/v1/admin/venues/default/drain"},
-		{"POST", "/venues", "/v1/admin/venues"},
-		{"POST", "/v1/venues", "/v1/admin/venues"},
-	}
-	for _, c := range cases {
-		resp := doReq(t, c.method, ts.URL+c.path, "", nil)
-		resp.Body.Close()
-		if got := resp.Header.Get("Deprecation"); got != "true" {
-			t.Errorf("%s %s Deprecation %q, want true", c.method, c.path, got)
+	for _, c := range []struct{ method, path string }{
+		{"POST", "/annotate"},
+		{"POST", "/feed"},
+		{"POST", "/flush"},
+		{"GET", "/query/popular-regions"},
+		{"GET", "/query/frequent-pairs"},
+		{"POST", "/venues/default/annotate"},
+		{"POST", "/venues/default/feed"},
+		{"POST", "/venues/default/flush"},
+		{"GET", "/venues/default/query/popular-regions"},
+		{"GET", "/venues/default/query/frequent-pairs"},
+		{"GET", "/venues/default/stats"},
+		{"GET", "/venues"},
+		{"GET", "/stats"},
+		{"GET", "/healthz"},
+		{"GET", "/readyz"},
+		{"POST", "/venues"},
+		{"DELETE", "/venues/default"},
+		{"POST", "/v1/venues"},
+		{"DELETE", "/v1/venues/default"},
+		{"POST", "/v1/venues/default/snapshot"},
+		{"GET", "/v1/venues/default/snapshot/file"},
+		{"PUT", "/v1/venues/default/snapshot/file"},
+		{"POST", "/v1/venues/default/drain"},
+		{"DELETE", "/v1/venues/default/drain"},
+	} {
+		resp := doReq(t, c.method, ts.URL+c.path, "", map[string]string{})
+		if got := resp.Header.Get("Deprecation"); got != "" {
+			t.Errorf("%s %s Deprecation %q", c.method, c.path, got)
 		}
-		want := fmt.Sprintf("<%s>; rel=%q", c.successor, "successor-version")
-		if got := resp.Header.Get("Link"); got != want {
-			t.Errorf("%s %s Link %q, want %q", c.method, c.path, got, want)
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("%s %s Content-Type %q, want the JSON envelope", c.method, c.path, ct)
+		}
+		code := wireErrorOf(t, resp).Code
+		switch resp.StatusCode {
+		case http.StatusNotFound:
+			if code != "not_found" {
+				t.Errorf("%s %s 404 code %q", c.method, c.path, code)
+			}
+		case http.StatusMethodNotAllowed:
+			if code != "method_not_allowed" {
+				t.Errorf("%s %s 405 code %q", c.method, c.path, code)
+			}
+		default:
+			t.Errorf("%s %s: %d, want 404 or 405", c.method, c.path, resp.StatusCode)
 		}
 	}
-
-	resp := doReq(t, "POST", ts.URL+"/v1/admin/venues/default/drain", "", nil)
-	resp.Body.Close()
-	if got := resp.Header.Get("Deprecation"); got != "" {
-		t.Errorf("canonical /v1/admin mount marked deprecated: %q", got)
-	}
-	resp = doReq(t, "DELETE", ts.URL+"/v1/admin/venues/default/drain", "", nil)
-	resp.Body.Close()
 }
 
-// TestV1ErrorEnvelope405And404: the mux's own plain-text errors under
-// /v1 carry the typed envelope, the 405's Allow header survives, and
-// non-/v1 paths keep the stock plain responses.
+// TestV1ErrorEnvelope405And404: the mux's own plain-text errors carry
+// the typed envelope on every path, and the 405's Allow header
+// survives.
 func TestV1ErrorEnvelope405And404(t *testing.T) {
 	registry, _ := testRegistry(t, "default")
 	ts := httptest.NewServer(newServer(registry, defaultMaxBody, ""))
@@ -177,14 +194,13 @@ func TestV1ErrorEnvelope405And404(t *testing.T) {
 		t.Fatalf("404 code %q, want not_found", we.Code)
 	}
 
-	// Legacy surface keeps the stock mux behaviour.
+	// Paths outside /v1 get the same envelope.
 	resp = doReq(t, "GET", ts.URL+"/nope", "", nil)
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /nope: %d, want 404", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("legacy 404 Content-Type %q, want text/plain passthrough", ct)
+	if we := wireErrorOf(t, resp); we.Code != "not_found" {
+		t.Fatalf("GET /nope code %q, want not_found", we.Code)
 	}
 }
 

@@ -1,18 +1,16 @@
 package main
 
 // Integration tests: train a small model, stand the HTTP surface up on
-// httptest, and round-trip /annotate, /feed + /flush and the live
-// queries against direct Engine calls — single-venue and multi-venue,
-// plus the admin plane and graceful shutdown.
+// httptest, and round-trip /v1/annotate, /v1/feed + /v1/flush and the
+// live queries against direct Engine calls — single-venue and
+// multi-venue, plus the admin plane.
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -24,6 +22,7 @@ import (
 	"time"
 
 	"c2mn"
+	"c2mn/internal/httpx"
 	"c2mn/internal/sim"
 )
 
@@ -129,7 +128,7 @@ func TestServerRoundTrips(t *testing.T) {
 	defer ts.Close()
 
 	// Liveness.
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %v %v", resp.Status, err)
 	}
@@ -138,7 +137,7 @@ func TestServerRoundTrips(t *testing.T) {
 	// /annotate (venue defaulted: only one loaded) matches a direct
 	// Engine call.
 	p := test[0].P
-	resp = postJSON(t, ts.URL+"/annotate", sequenceRequest{
+	resp = postJSON(t, ts.URL+"/v1/annotate", sequenceRequest{
 		ObjectID: p.ObjectID,
 		Records:  toWire(p.Records),
 	})
@@ -172,12 +171,12 @@ func TestServerRoundTrips(t *testing.T) {
 	}
 
 	// Empty sequences are a client error.
-	resp = postJSON(t, ts.URL+"/annotate", sequenceRequest{ObjectID: "empty"})
+	resp = postJSON(t, ts.URL+"/v1/annotate", sequenceRequest{ObjectID: "empty"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("/annotate empty status = %s, want 400", resp.Status)
 	}
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/annotate", sequenceRequest{})
+	resp = postJSON(t, ts.URL+"/v1/annotate", sequenceRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("/annotate no object_id status = %s, want 400", resp.Status)
 	}
@@ -185,7 +184,7 @@ func TestServerRoundTrips(t *testing.T) {
 
 	// Stream every test object through /feed, then /flush.
 	for i := range test {
-		resp = postJSON(t, ts.URL+"/feed", sequenceRequest{
+		resp = postJSON(t, ts.URL+"/v1/feed", sequenceRequest{
 			ObjectID: fmt.Sprintf("obj%d", i),
 			Records:  toWire(test[i].P.Records),
 		})
@@ -197,7 +196,7 @@ func TestServerRoundTrips(t *testing.T) {
 			t.Fatalf("/feed fed = %d, want %d", fed.Fed, len(test[i].P.Records))
 		}
 	}
-	resp = postJSON(t, ts.URL+"/flush", nil)
+	resp = postJSON(t, ts.URL+"/v1/flush", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/flush status = %s", resp.Status)
 	}
@@ -210,7 +209,7 @@ func TestServerRoundTrips(t *testing.T) {
 	}
 
 	// Live query over the fed stream matches the Engine directly.
-	resp, err = http.Get(ts.URL + "/query/popular-regions?k=3")
+	resp, err = http.Get(ts.URL + "/v1/query/popular-regions?k=3")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("/query/popular-regions: %v %v", resp.Status, err)
 	}
@@ -226,12 +225,12 @@ func TestServerRoundTrips(t *testing.T) {
 	}
 
 	// Frequent pairs and stats respond; stats carry the venue split.
-	resp, err = http.Get(ts.URL + "/query/frequent-pairs?k=3")
+	resp, err = http.Get(ts.URL + "/v1/query/frequent-pairs?k=3")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("/query/frequent-pairs: %v %v", resp.Status, err)
 	}
 	decodeBody[[]pairCountResponse](t, resp)
-	resp, err = http.Get(ts.URL + "/stats")
+	resp, err = http.Get(ts.URL + "/v1/stats")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("/stats: %v %v", resp.Status, err)
 	}
@@ -245,7 +244,7 @@ func TestServerRoundTrips(t *testing.T) {
 
 	// Parameter validation.
 	for _, bad := range []string{"?k=0", "?k=x", "?start=x", "?start=NaN", "?end=nan", "?regions=1,x"} {
-		resp, err = http.Get(ts.URL + "/query/popular-regions" + bad)
+		resp, err = http.Get(ts.URL + "/v1/query/popular-regions" + bad)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,13 +262,13 @@ func TestServerQueryParamsWindowAndRegions(t *testing.T) {
 	defer ts.Close()
 
 	for i := range test {
-		resp := postJSON(t, ts.URL+"/feed", sequenceRequest{
+		resp := postJSON(t, ts.URL+"/v1/feed", sequenceRequest{
 			ObjectID: fmt.Sprintf("obj%d", i),
 			Records:  toWire(test[i].P.Records),
 		})
 		resp.Body.Close()
 	}
-	resp := postJSON(t, ts.URL+"/flush", nil)
+	resp := postJSON(t, ts.URL+"/v1/flush", nil)
 	resp.Body.Close()
 
 	// Restricting the window and region set narrows the answer the same
@@ -278,7 +277,7 @@ func TestServerQueryParamsWindowAndRegions(t *testing.T) {
 	q := []c2mn.RegionID{regions[0], regions[1]}
 	w := c2mn.Window{Start: 0, End: 700}
 	want := engine.TopKPopularRegions(q, w, 2)
-	url := fmt.Sprintf("%s/query/popular-regions?k=2&start=0&end=700&regions=%d,%d",
+	url := fmt.Sprintf("%s/v1/query/popular-regions?k=2&start=0&end=700&regions=%d,%d",
 		ts.URL, regions[0], regions[1])
 	resp, err := http.Get(url)
 	if err != nil || resp.StatusCode != http.StatusOK {
@@ -299,7 +298,7 @@ func TestServerMaxBodyRejectsOversizedRequests(t *testing.T) {
 	ts := httptest.NewServer(newServer(registry, 128, ""))
 	defer ts.Close()
 
-	for _, path := range []string{"/annotate", "/feed"} {
+	for _, path := range []string{"/v1/annotate", "/v1/feed"} {
 		resp := postJSON(t, ts.URL+path, sequenceRequest{
 			ObjectID: "big",
 			Records:  toWire(test[0].P.Records),
@@ -307,15 +306,14 @@ func TestServerMaxBodyRejectsOversizedRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Fatalf("%s oversized status = %s, want 413", path, resp.Status)
 		}
-		body := decodeBody[map[string]string](t, resp)
-		if body["error"] == "" {
-			t.Fatalf("%s oversized response carries no JSON error", path)
+		if body := decodeBody[v1Error](t, resp); body.Error.Code != "body_too_large" {
+			t.Fatalf("%s oversized response error = %+v, want body_too_large", path, body.Error)
 		}
 	}
 
 	// A request under the cap still reaches the handler (and fails for
 	// its own reasons, not with 413).
-	resp := postJSON(t, ts.URL+"/annotate", sequenceRequest{ObjectID: "s"})
+	resp := postJSON(t, ts.URL+"/v1/annotate", sequenceRequest{ObjectID: "s"})
 	if resp.StatusCode == http.StatusRequestEntityTooLarge {
 		t.Fatalf("small request rejected as too large: %s", resp.Status)
 	}
@@ -331,7 +329,7 @@ func TestServerMultiVenue(t *testing.T) {
 	defer ts.Close()
 
 	// With two venues loaded, a bare data-plane call must name one.
-	resp := postJSON(t, ts.URL+"/feed", sequenceRequest{ObjectID: "o", Records: toWire(test[0].P.Records)})
+	resp := postJSON(t, ts.URL+"/v1/feed", sequenceRequest{ObjectID: "o", Records: toWire(test[0].P.Records)})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("ambiguous venue status = %s, want 400", resp.Status)
 	}
@@ -350,9 +348,9 @@ func TestServerMultiVenue(t *testing.T) {
 			defer wg.Done()
 			var url string
 			if i%2 == 0 {
-				url = fmt.Sprintf("%s/venues/north/feed", ts.URL)
+				url = fmt.Sprintf("%s/v1/venues/north/feed", ts.URL)
 			} else {
-				url = fmt.Sprintf("%s/feed?venue=south", ts.URL)
+				url = fmt.Sprintf("%s/v1/feed?venue=south", ts.URL)
 			}
 			buf, err := json.Marshal(sequenceRequest{
 				ObjectID: fmt.Sprintf("obj%d", i/2),
@@ -378,7 +376,7 @@ func TestServerMultiVenue(t *testing.T) {
 	for msg := range feedErrs {
 		t.Fatal(msg)
 	}
-	resp = postJSON(t, ts.URL+"/flush", nil) // no venue: flushes all
+	resp = postJSON(t, ts.URL+"/v1/flush", nil) // no venue: flushes all
 	flushed := decodeBody[flushResponse](t, resp)
 	if flushed.Venues != 2 || flushed.EmittedSequences == 0 {
 		t.Fatalf("/flush all = %+v", flushed)
@@ -390,7 +388,7 @@ func TestServerMultiVenue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Get(fmt.Sprintf("%s/venues/%s/query/popular-regions?k=4", ts.URL, id))
+		resp, err := http.Get(fmt.Sprintf("%s/v1/venues/%s/query/popular-regions?k=4", ts.URL, id))
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("venue %s query: %v %v", id, resp.Status, err)
 		}
@@ -417,12 +415,12 @@ func TestServerMultiVenue(t *testing.T) {
 	for _, probe := range []struct {
 		method, url string
 	}{
-		{"POST", ts.URL + "/venues/nowhere/feed"},
-		{"POST", ts.URL + "/feed?venue=nowhere"},
-		{"POST", ts.URL + "/venues/nowhere/annotate"},
-		{"GET", ts.URL + "/venues/nowhere/query/popular-regions"},
-		{"GET", ts.URL + "/venues/nowhere/stats"},
-		{"POST", ts.URL + "/flush?venue=nowhere"},
+		{"POST", ts.URL + "/v1/venues/nowhere/feed"},
+		{"POST", ts.URL + "/v1/feed?venue=nowhere"},
+		{"POST", ts.URL + "/v1/venues/nowhere/annotate"},
+		{"GET", ts.URL + "/v1/venues/nowhere/query/popular-regions"},
+		{"GET", ts.URL + "/v1/venues/nowhere/stats"},
+		{"POST", ts.URL + "/v1/flush?venue=nowhere"},
 	} {
 		var resp *http.Response
 		var err error
@@ -437,14 +435,14 @@ func TestServerMultiVenue(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("%s %s status = %s, want 404", probe.method, probe.url, resp.Status)
 		}
-		body := decodeBody[map[string]string](t, resp)
-		if !strings.Contains(body["error"], "unknown venue") {
-			t.Fatalf("%s error = %q, want unknown-venue message", probe.url, body["error"])
+		body := decodeBody[v1Error](t, resp)
+		if !strings.Contains(body.Error.Message, "unknown venue") {
+			t.Fatalf("%s error = %q, want unknown-venue message", probe.url, body.Error.Message)
 		}
 	}
 
 	// Per-venue stats via the path form.
-	resp, err := http.Get(ts.URL + "/venues/north/stats")
+	resp, err := http.Get(ts.URL + "/v1/venues/north/stats")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("/venues/north/stats: %v %v", resp.Status, err)
 	}
@@ -484,7 +482,7 @@ func TestServerAdminPlane(t *testing.T) {
 	mf.Close()
 
 	// List: one venue.
-	resp, err := http.Get(ts.URL + "/venues")
+	resp, err := http.Get(ts.URL + "/v1/venues")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("/venues: %v %v", resp.Status, err)
 	}
@@ -496,7 +494,7 @@ func TestServerAdminPlane(t *testing.T) {
 	}
 
 	// Load a second venue from disk.
-	resp = postJSON(t, ts.URL+"/venues", loadVenueRequest{Venue: "beta", Space: spacePath, Model: modelPath})
+	resp = postJSON(t, ts.URL+"/v1/admin/venues", loadVenueRequest{Venue: "beta", Space: spacePath, Model: modelPath})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST /venues status = %s", resp.Status)
 	}
@@ -505,7 +503,7 @@ func TestServerAdminPlane(t *testing.T) {
 		t.Fatalf("venues after load = %v", got)
 	}
 	// The loaded venue annotates.
-	resp = postJSON(t, ts.URL+"/venues/beta/annotate", sequenceRequest{
+	resp = postJSON(t, ts.URL+"/v1/venues/beta/annotate", sequenceRequest{
 		ObjectID: test[0].P.ObjectID,
 		Records:  toWire(test[0].P.Records),
 	})
@@ -516,7 +514,7 @@ func TestServerAdminPlane(t *testing.T) {
 
 	// Hot reload an existing ID is allowed and swaps the engine.
 	before, _ := registry.Engine("beta")
-	resp = postJSON(t, ts.URL+"/venues", loadVenueRequest{Venue: "beta", Space: spacePath, Model: modelPath})
+	resp = postJSON(t, ts.URL+"/v1/admin/venues", loadVenueRequest{Venue: "beta", Space: spacePath, Model: modelPath})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("hot reload status = %s", resp.Status)
 	}
@@ -527,19 +525,19 @@ func TestServerAdminPlane(t *testing.T) {
 	}
 
 	// Bad loads are client errors.
-	resp = postJSON(t, ts.URL+"/venues", loadVenueRequest{Venue: "", Space: spacePath, Model: modelPath})
+	resp = postJSON(t, ts.URL+"/v1/admin/venues", loadVenueRequest{Venue: "", Space: spacePath, Model: modelPath})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty venue load status = %s", resp.Status)
 	}
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/venues", loadVenueRequest{Venue: "x", Space: spacePath, Model: filepath.Join(dir, "missing.json")})
+	resp = postJSON(t, ts.URL+"/v1/admin/venues", loadVenueRequest{Venue: "x", Space: spacePath, Model: filepath.Join(dir, "missing.json")})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("missing model load status = %s", resp.Status)
 	}
 	resp.Body.Close()
 
 	// Unload.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/venues/beta", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/venues/beta", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE /venues/beta: %v %v", resp.Status, err)
@@ -548,7 +546,7 @@ func TestServerAdminPlane(t *testing.T) {
 	if registry.Len() != 1 {
 		t.Fatalf("venues after unload = %v", registry.Venues())
 	}
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/venues/beta", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/venues/beta", nil)
 	resp, _ = http.DefaultClient.Do(req)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("double unload status = %s, want 404", resp.Status)
@@ -573,7 +571,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 		})
 		resp.Body.Close()
 	}
-	resp := postJSON(t, ts.URL+"/v1/venues/default/snapshot", nil)
+	resp := postJSON(t, ts.URL+"/v1/admin/venues/default/snapshot", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot trigger status = %s", resp.Status)
 	}
@@ -603,7 +601,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 	}
 
 	// Unknown venue: 404 with the venue sentinel.
-	resp = postJSON(t, ts.URL+"/v1/venues/nowhere/snapshot", nil)
+	resp = postJSON(t, ts.URL+"/v1/admin/venues/nowhere/snapshot", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown venue snapshot status = %s", resp.Status)
 	}
@@ -612,7 +610,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 	// Persistence disabled: typed 409.
 	off := httptest.NewServer(newServer(registry, defaultMaxBody, ""))
 	defer off.Close()
-	resp = postJSON(t, off.URL+"/v1/venues/default/snapshot", nil)
+	resp = postJSON(t, off.URL+"/v1/admin/venues/default/snapshot", nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("disabled snapshot status = %s, want 409", resp.Status)
 	}
@@ -624,7 +622,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 	// The trigger is a mutating admin endpoint: token-gated.
 	gated := httptest.NewServer(newServer(registry, defaultMaxBody, "s3cret", withSnapshotDir(dir)))
 	defer gated.Close()
-	resp = postJSON(t, gated.URL+"/v1/venues/default/snapshot", nil)
+	resp = postJSON(t, gated.URL+"/v1/admin/venues/default/snapshot", nil)
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("tokenless snapshot status = %s, want 401", resp.Status)
 	}
@@ -682,12 +680,12 @@ func TestServerAdminTokenGatesMutations(t *testing.T) {
 	defer ts.Close()
 
 	// Mutating admin calls without (or with a wrong) token: 401.
-	resp := postJSON(t, ts.URL+"/venues", loadVenueRequest{Venue: "x", Space: "s", Model: "m"})
+	resp := postJSON(t, ts.URL+"/v1/admin/venues", loadVenueRequest{Venue: "x", Space: "s", Model: "m"})
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("tokenless load status = %s, want 401", resp.Status)
 	}
 	resp.Body.Close()
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/venues/alpha", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/venues/alpha", nil)
 	req.Header.Set("Authorization", "Bearer wrong")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil || resp.StatusCode != http.StatusUnauthorized {
@@ -699,7 +697,7 @@ func TestServerAdminTokenGatesMutations(t *testing.T) {
 	}
 
 	// The right token works.
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/venues/alpha", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/venues/alpha", nil)
 	req.Header.Set("Authorization", "Bearer s3cret")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil || resp.StatusCode != http.StatusOK {
@@ -711,116 +709,11 @@ func TestServerAdminTokenGatesMutations(t *testing.T) {
 	}
 
 	// Read-only endpoints stay open.
-	resp, err = http.Get(ts.URL + "/venues")
+	resp, err = http.Get(ts.URL + "/v1/venues")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("/venues listing behind token: %v %v", resp.Status, err)
 	}
 	resp.Body.Close()
-}
-
-// TestServeGracefulShutdown drives the same serve() helper main uses:
-// on context cancellation an in-flight request completes within the
-// drain window, the listener refuses new connections, and serve
-// returns cleanly.
-func TestServeGracefulShutdown(t *testing.T) {
-	registry, _ := testRegistry(t, "default")
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	inner := newServer(registry, defaultMaxBody, "")
-	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" && r.URL.Query().Get("slow") == "1" {
-			close(started)
-			<-release // hold the request open across the shutdown signal
-		}
-		inner.ServeHTTP(w, r)
-	})
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: handler}
-	ctx, cancel := context.WithCancel(context.Background())
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- serve(ctx, srv, ln, 5*time.Second, nil) }()
-
-	// Start a request that is still in flight when shutdown begins.
-	reqDone := make(chan error, 1)
-	go func() {
-		resp, err := http.Get("http://" + ln.Addr().String() + "/healthz?slow=1")
-		if err != nil {
-			reqDone <- err
-			return
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			reqDone <- fmt.Errorf("in-flight request status %s", resp.Status)
-			return
-		}
-		reqDone <- nil
-	}()
-	<-started
-	cancel() // the SIGINT/SIGTERM path
-
-	select {
-	case err := <-serveDone:
-		t.Fatalf("serve returned before draining in-flight request: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(release)
-	if err := <-reqDone; err != nil {
-		t.Fatalf("in-flight request during shutdown: %v", err)
-	}
-	select {
-	case err := <-serveDone:
-		if err != nil {
-			t.Fatalf("serve() = %v, want clean drain", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("serve did not return after drain")
-	}
-	// The listener is closed: new connections fail.
-	if _, err := http.Get("http://" + ln.Addr().String() + "/healthz"); err == nil {
-		t.Fatal("server still accepting connections after shutdown")
-	}
-}
-
-// TestServeDrainTimeout: a request that outlives the drain window is
-// force-closed and serve reports the shutdown error.
-func TestServeDrainTimeout(t *testing.T) {
-	registry, _ := testRegistry(t, "default")
-	started := make(chan struct{})
-	release := make(chan struct{})
-	defer close(release)
-	inner := newServer(registry, defaultMaxBody, "")
-	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("hang") == "1" {
-			close(started)
-			<-release
-			return
-		}
-		inner.ServeHTTP(w, r)
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: handler}
-	ctx, cancel := context.WithCancel(context.Background())
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- serve(ctx, srv, ln, 20*time.Millisecond, nil) }()
-	go http.Get("http://" + ln.Addr().String() + "/healthz?hang=1")
-	<-started
-	cancel()
-	select {
-	case err := <-serveDone:
-		if err == nil || !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("serve() = %v, want deadline-exceeded shutdown error", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("serve hung past the drain timeout")
-	}
 }
 
 // TestServerV1FleetQuery is the acceptance end-to-end: three loaded
@@ -1043,12 +936,11 @@ func TestServerV1QueryPagination(t *testing.T) {
 
 // v1Error is the typed /v1 error envelope as tests decode it.
 type v1Error struct {
-	Error wireError `json:"error"`
+	Error httpx.WireError `json:"error"`
 }
 
-// TestServerV1TypedErrorsAndDeprecation: /v1 errors carry machine
-// codes, legacy routes keep the flat payload and gain deprecation
-// headers.
+// TestServerV1TypedErrorsAndDeprecation: errors carry machine codes,
+// and no route answers with a deprecation header.
 func TestServerV1TypedErrorsAndDeprecation(t *testing.T) {
 	registry, _ := testRegistry(t, "alpha")
 	ts := httptest.NewServer(newServer(registry, defaultMaxBody, ""))
@@ -1086,21 +978,6 @@ func TestServerV1TypedErrorsAndDeprecation(t *testing.T) {
 		t.Fatalf("unknown venue code = %q", te.Error.Code)
 	}
 
-	// The legacy route answers identically in substance but keeps the
-	// flat error string and carries the deprecation headers.
-	resp, err = http.Get(ts.URL + "/venues/nowhere/stats")
-	if err != nil || resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("legacy unknown venue: %v %v", resp.Status, err)
-	}
-	if resp.Header.Get("Deprecation") != "true" || !strings.Contains(resp.Header.Get("Link"), "/v1/venues/nowhere/stats") {
-		t.Fatalf("legacy deprecation headers = %v", resp.Header)
-	}
-	flat := decodeBody[map[string]string](t, resp)
-	if !strings.Contains(flat["error"], "unknown venue") {
-		t.Fatalf("legacy error body = %v", flat)
-	}
-
-	// /v1 success paths exist for the aliased routes too.
 	resp, err = http.Get(ts.URL + "/v1/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/healthz: %v %v", resp.Status, err)
@@ -1113,7 +990,7 @@ func TestServerV1TypedErrorsAndDeprecation(t *testing.T) {
 
 // TestFeedBacklogResponseShape pins the 429 load-shedding contract of
 // /feed: backlog errors map to 429 with a Retry-After hint derived
-// from -feed-timeout, typed on /v1 and flat on legacy routes.
+// from -feed-timeout, with the typed error next to the counts.
 func TestFeedBacklogResponseShape(t *testing.T) {
 	s := &server{retryAfterSecs: "1"}
 	withFeedRetryAfter(2500 * time.Millisecond)(s)
@@ -1126,17 +1003,17 @@ func TestFeedBacklogResponseShape(t *testing.T) {
 	}
 
 	backlog := fmt.Errorf("stream x: %w", c2mn.ErrBacklog)
-	if code := errorCode(http.StatusTooManyRequests, backlog); code != "backlog" {
+	if code := httpx.ErrorCode(http.StatusTooManyRequests, backlog); code != "backlog" {
 		t.Fatalf("backlog error code = %q", code)
 	}
 
-	// A backlog error maps to 429 + Retry-After; the v1 envelope
-	// carries the typed error next to the counts.
+	// A backlog error maps to 429 + Retry-After; the envelope carries
+	// the typed error next to the counts.
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/v1/feed", nil)
 	s.writeIngestError(rec, req, backlog, feedResponse{Venue: "v", Fed: 3})
 	var v1 struct {
-		Error wireError `json:"error"`
+		Error httpx.WireError `json:"error"`
 		feedResponse
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &v1); err != nil {
@@ -1147,21 +1024,6 @@ func TestFeedBacklogResponseShape(t *testing.T) {
 	}
 	if rec.Header().Get("Retry-After") != s.retryAfterSecs {
 		t.Fatalf("Retry-After = %q, want %q", rec.Header().Get("Retry-After"), s.retryAfterSecs)
-	}
-
-	// The legacy envelope keeps the flat error string.
-	rec = httptest.NewRecorder()
-	req = httptest.NewRequest(http.MethodPost, "/feed", nil)
-	s.writeIngestError(rec, req, backlog, feedResponse{Venue: "v", Fed: 3})
-	var legacy struct {
-		Error string `json:"error"`
-		feedResponse
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Error == "" || !strings.Contains(legacy.Error, "backlog") {
-		t.Fatalf("legacy backlog response = %+v", legacy)
 	}
 
 	// A non-backlog ingestion failure stays a 422.

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"c2mn"
+	"c2mn/internal/snapshot"
 )
 
 // noRedirect is a client that surfaces 307s instead of chasing them,
@@ -27,34 +28,32 @@ func TestServerReadyzSeparateFromHealthz(t *testing.T) {
 	ts := httptest.NewServer(newServer(registry, defaultMaxBody, "", withReadiness(&ready)))
 	defer ts.Close()
 
-	for _, path := range []string{"/readyz", "/v1/readyz"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s while ready = %s", path, resp.Status)
-		}
-	}
-
-	// Drain starts: readiness flips, liveness must not.
-	ready.Store(false)
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz while draining = %s, want 503", resp.Status)
-	}
-	resp, err = http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/healthz while draining = %s; liveness must never follow readiness", resp.Status)
+		t.Fatalf("/v1/readyz while ready = %s", resp.Status)
+	}
+
+	// Drain starts: readiness flips, liveness must not.
+	ready.Store(false)
+	resp, err = http.Get(ts.URL + "/v1/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/v1/readyz while draining = %s, want 503", resp.Status)
+	}
+	resp, err = http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/healthz while draining = %s; liveness must never follow readiness", resp.Status)
 	}
 }
 
@@ -90,7 +89,7 @@ func TestServerVenueDrainLifecycle(t *testing.T) {
 
 	// Drain without a redirect: feeds 503 with Retry-After, queries
 	// keep answering, the venue listing flags the drain.
-	resp = postJSON(t, ts.URL+"/v1/venues/north/drain", nil)
+	resp = postJSON(t, ts.URL+"/v1/admin/venues/north/drain", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("drain = %s", resp.Status)
 	}
@@ -127,7 +126,7 @@ func TestServerVenueDrainLifecycle(t *testing.T) {
 
 	// Cutover: re-drain with a redirect target; stragglers get 307 to
 	// the new owner's feed path.
-	resp = postJSON(t, ts.URL+"/v1/venues/north/drain", map[string]string{"redirect_to": "http://new-owner:8080"})
+	resp = postJSON(t, ts.URL+"/v1/admin/venues/north/drain", map[string]string{"redirect_to": "http://new-owner:8080"})
 	resp.Body.Close()
 	resp = feed()
 	if resp.StatusCode != http.StatusTemporaryRedirect {
@@ -139,7 +138,7 @@ func TestServerVenueDrainLifecycle(t *testing.T) {
 	resp.Body.Close()
 
 	// Undrain: service resumes.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/venues/north/drain", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/venues/north/drain", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +155,7 @@ func TestServerVenueDrainLifecycle(t *testing.T) {
 
 	// Undraining a venue that is not draining: 404. Draining an
 	// unknown venue: 404.
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/venues/north/drain", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/venues/north/drain", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -165,10 +164,74 @@ func TestServerVenueDrainLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("double undrain = %s, want 404", resp.Status)
 	}
-	resp = postJSON(t, ts.URL+"/v1/venues/nowhere/drain", nil)
+	resp = postJSON(t, ts.URL+"/v1/admin/venues/nowhere/drain", nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("drain unknown venue = %s, want 404", resp.Status)
+	}
+}
+
+// TestServerSnapshotUploadIsDurable: an uploaded snapshot lands in the
+// target's snapshot directory verbatim and atomically — the file
+// equals the upload byte for byte, decodes, and no temp file is left
+// behind.
+func TestServerSnapshotUploadIsDurable(t *testing.T) {
+	registry, test := testRegistry(t, "default")
+	for i := range test {
+		if _, err := registry.FeedAll("default", fmt.Sprintf("obj%d", i), test[i].P.Records); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path, err := registry.SnapshotVenue("default", t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ann, _ := testParts(t)
+	coldReg, err := c2mn.NewVenueRegistry(c2mn.WithVenueDefaults(c2mn.WithPreprocess(testEta, testPsi)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coldReg.Register("default", ann); err != nil {
+		t.Fatal(err)
+	}
+	dstDir := t.TempDir()
+	dst := httptest.NewServer(newServer(coldReg, defaultMaxBody, "", withSnapshotDir(dstDir)))
+	defer dst.Close()
+	req, _ := http.NewRequest(http.MethodPut, dst.URL+"/v1/admin/venues/default/snapshot/file", bytes.NewReader(snap))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot upload = %s", resp.Status)
+	}
+
+	disk, err := os.ReadFile(c2mn.SnapshotPath(dstDir, "default"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(disk, snap) {
+		t.Fatalf("persisted upload differs from the uploaded bytes (%d vs %d bytes)", len(disk), len(snap))
+	}
+	if _, err := snapshot.ReadFile(c2mn.SnapshotPath(dstDir, "default")); err != nil {
+		t.Fatalf("persisted upload does not decode: %v", err)
+	}
+	entries, err := os.ReadDir(dstDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("snapshot dir holds %v, want only the snapshot file", names)
 	}
 }
 
@@ -188,14 +251,14 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 		})
 		resp.Body.Close()
 	}
-	resp := postJSON(t, src.URL+"/v1/venues/default/snapshot", nil)
+	resp := postJSON(t, src.URL+"/v1/admin/venues/default/snapshot", nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot trigger = %s", resp.Status)
 	}
 
 	// Download and compare with the on-disk file byte for byte.
-	resp, err := http.Get(src.URL + "/v1/venues/default/snapshot/file")
+	resp, err := http.Get(src.URL + "/v1/admin/venues/default/snapshot/file")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +301,7 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 		}
 		return resp
 	}
-	resp = put(dst.URL+"/v1/venues/default/snapshot/file", snap)
+	resp = put(dst.URL+"/v1/admin/venues/default/snapshot/file", snap)
 	if resp.StatusCode != http.StatusOK {
 		buf, _ := io.ReadAll(resp.Body)
 		t.Fatalf("snapshot upload = %s: %s", resp.Status, buf)
@@ -266,7 +329,7 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 	}
 
 	// Guard: restoring over live state is refused with a typed 409.
-	resp = put(dst.URL+"/v1/venues/default/snapshot/file", snap)
+	resp = put(dst.URL+"/v1/admin/venues/default/snapshot/file", snap)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("double restore = %s, want 409", resp.Status)
 	}
@@ -276,7 +339,7 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 	}
 
 	// Guard: garbage is a typed 422, and the venue's state survives.
-	resp = put(dst.URL+"/v1/venues/default/snapshot/file", []byte("not a snapshot"))
+	resp = put(dst.URL+"/v1/admin/venues/default/snapshot/file", []byte("not a snapshot"))
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("garbage upload = %s, want 422", resp.Status)
 	}
@@ -287,14 +350,14 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 
 	// Guard: unknown venue 404; download without persistence 409;
 	// download before any snapshot 404.
-	resp = put(dst.URL+"/v1/venues/nowhere/snapshot/file", snap)
+	resp = put(dst.URL+"/v1/admin/venues/nowhere/snapshot/file", snap)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("upload to unknown venue = %s, want 404", resp.Status)
 	}
 	noDir := httptest.NewServer(newServer(registry, defaultMaxBody, ""))
 	defer noDir.Close()
-	resp, err = http.Get(noDir.URL + "/v1/venues/default/snapshot/file")
+	resp, err = http.Get(noDir.URL + "/v1/admin/venues/default/snapshot/file")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +367,7 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 	}
 	emptyDir := httptest.NewServer(newServer(coldReg, defaultMaxBody, "", withSnapshotDir(t.TempDir())))
 	defer emptyDir.Close()
-	resp, err = http.Get(emptyDir.URL + "/v1/venues/default/snapshot/file")
+	resp, err = http.Get(emptyDir.URL + "/v1/admin/venues/default/snapshot/file")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +379,7 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 	// The transfer endpoints are admin surface: token-gated both ways.
 	gated := httptest.NewServer(newServer(registry, defaultMaxBody, "s3cret", withSnapshotDir(srcDir)))
 	defer gated.Close()
-	resp, err = http.Get(gated.URL + "/v1/venues/default/snapshot/file")
+	resp, err = http.Get(gated.URL + "/v1/admin/venues/default/snapshot/file")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +387,7 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("tokenless download = %s, want 401", resp.Status)
 	}
-	resp = put(gated.URL+"/v1/venues/default/snapshot/file", snap)
+	resp = put(gated.URL+"/v1/admin/venues/default/snapshot/file", snap)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("tokenless upload = %s, want 401", resp.Status)
@@ -362,7 +425,7 @@ func TestServerSnapshotFreshnessColumns(t *testing.T) {
 		ObjectID: "obj", Records: toWire(test[0].P.Records),
 	})
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/v1/venues/north/snapshot", nil)
+	resp = postJSON(t, ts.URL+"/v1/admin/venues/north/snapshot", nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot = %s", resp.Status)
@@ -379,10 +442,9 @@ func TestServerSnapshotFreshnessColumns(t *testing.T) {
 	}
 }
 
-// TestServerRequestIDPropagation pins the X-Request-ID satellite: an
-// inbound ID is echoed on the response and embedded in /v1 error
-// payloads; absent IDs stay absent (the router, not msserve,
-// generates).
+// TestServerRequestIDPropagation pins the X-Request-ID contract: an
+// inbound ID is echoed on the response and embedded in error payloads;
+// a request without one gets a fresh ID, as on the router.
 func TestServerRequestIDPropagation(t *testing.T) {
 	registry, _ := testRegistry(t, "north")
 	ts := httptest.NewServer(newServer(registry, defaultMaxBody, ""))
@@ -402,13 +464,12 @@ func TestServerRequestIDPropagation(t *testing.T) {
 		t.Fatalf("error payload = %+v, want the request ID embedded", e.Error)
 	}
 
-	// No inbound ID: no synthesized one on the backend.
 	resp, err = http.Get(ts.URL + "/v1/venues")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get("X-Request-ID"); got != "" {
-		t.Fatalf("unsolicited X-Request-ID = %q", got)
+	if got := resp.Header.Get("X-Request-ID"); len(got) != 16 {
+		t.Fatalf("X-Request-ID without an inbound one = %q, want a 16-char minted ID", got)
 	}
 }

@@ -380,7 +380,7 @@ func TestWatchUnloadGoodbye(t *testing.T) {
 		t.Fatalf("first event = %+v", ev)
 	}
 
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/venues/w", nil)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/venues/w", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestWatchUnknownVenueFailsBeforeStreaming(t *testing.T) {
 
 func TestIntrospectionResponsesAreNoStore(t *testing.T) {
 	ts, _, _ := watchTestServer(t, time.Minute, "w")
-	for _, path := range []string{"/v1/stats", "/v1/venues", "/v1/venues/w/stats", "/healthz", "/readyz", "/v1/readyz"} {
+	for _, path := range []string{"/v1/stats", "/v1/venues", "/v1/venues/w/stats", "/v1/healthz", "/v1/readyz"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,8 @@
 package router
 
-// Tests for the consolidated /v1/admin mirror: the deprecated /admin/*
-// aliases' steering headers, the proxied backend admin tree with the
-// retrain/migration guard, and the typed 404/405 envelope.
+// Tests for the router's /v1/admin plane: the token gate, the proxied
+// backend admin tree with the retrain/migration guard, the typed
+// 404/405 envelope, and the former alias paths answering it.
 
 import (
 	"encoding/json"
@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"c2mn/internal/httpx"
 )
 
 func adminReq(t *testing.T, method, url, token string) *http.Response {
@@ -32,7 +34,7 @@ func adminReq(t *testing.T, method, url, token string) *http.Response {
 func envelopeCode(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	var body struct {
-		Error wireError `json:"error"`
+		Error httpx.WireError `json:"error"`
 	}
 	defer resp.Body.Close()
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
@@ -42,43 +44,60 @@ func envelopeCode(t *testing.T, resp *http.Response) string {
 }
 
 // TestRouterAdminMirror: the router's own admin plane answers under
-// /v1/admin/, the /admin/* mounts alias it with deprecation steering,
-// and both share the token gate.
+// /v1/admin/ behind the token gate.
 func TestRouterAdminMirror(t *testing.T) {
 	a := newFakeBackend(t)
 	a.venues["north"] = &fakeVenue{}
 	rt := testRouter(t, Config{AdminToken: "sesame"}, a)
 	srv := routerServer(t, rt)
 
-	for _, path := range []string{"/v1/admin/backends", "/admin/backends"} {
-		resp := adminReq(t, "GET", srv.URL+path, "")
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusUnauthorized {
-			t.Errorf("GET %s without token: %d, want 401", path, resp.StatusCode)
-		}
+	resp := adminReq(t, "GET", srv.URL+"/v1/admin/backends", "")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnauthorized {
+		t.Errorf("GET /v1/admin/backends without token: %d, want 401", resp.StatusCode)
 	}
-
-	resp := adminReq(t, "GET", srv.URL+"/v1/admin/backends", "sesame")
+	resp = adminReq(t, "GET", srv.URL+"/v1/admin/backends", "sesame")
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/admin/backends: %d", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Deprecation"); got != "" {
-		t.Errorf("canonical mount marked deprecated: %q", got)
-	}
+}
 
-	resp = adminReq(t, "GET", srv.URL+"/admin/backends", "sesame")
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /admin/backends: %d", resp.StatusCode)
+// TestRouterFormerAliasesAreGone: the pre-consolidation /admin/* mounts
+// and the bare probes answer the typed 404 envelope — token or not —
+// and no response carries a Deprecation header.
+func TestRouterFormerAliasesAreGone(t *testing.T) {
+	a := newFakeBackend(t)
+	a.venues["north"] = &fakeVenue{}
+	rt := testRouter(t, Config{AdminToken: "sesame"}, a)
+	srv := routerServer(t, rt)
+
+	for _, c := range []struct{ method, path string }{
+		{"GET", "/healthz"},
+		{"GET", "/readyz"},
+		{"GET", "/admin/backends"},
+		{"POST", "/admin/backends"},
+		{"DELETE", "/admin/backends"},
+		{"GET", "/admin/assignments"},
+		{"POST", "/admin/pins"},
+		{"DELETE", "/admin/pins"},
+		{"POST", "/admin/migrate"},
+		{"POST", "/v1/venues"},
+	} {
+		resp := adminReq(t, c.method, srv.URL+c.path, "sesame")
+		if got := resp.Header.Get("Deprecation"); got != "" {
+			t.Errorf("%s %s Deprecation %q", c.method, c.path, got)
+		}
+		status := resp.StatusCode
+		code := envelopeCode(t, resp)
+		if !(status == http.StatusNotFound && code == "not_found") &&
+			!(status == http.StatusMethodNotAllowed && code == "method_not_allowed") {
+			t.Errorf("%s %s: %d %q, want the 404 or 405 envelope", c.method, c.path, status, code)
+		}
 	}
-	if got := resp.Header.Get("Deprecation"); got != "true" {
-		t.Errorf("alias Deprecation %q, want true", got)
-	}
-	if got, want := resp.Header.Get("Link"), `</v1/admin/backends>; rel="successor-version"`; got != want {
-		t.Errorf("alias Link %q, want %q", got, want)
+	if log := a.callLog(); len(log) != 0 {
+		t.Errorf("former alias paths reached the backend: %v", log)
 	}
 }
 

@@ -14,17 +14,19 @@ import (
 	"time"
 
 	"c2mn"
+	"c2mn/internal/httpx"
 )
 
-// handleVenueScoped forwards any /v1/venues/{venue}[/...] request to
-// the venue's owning backend: annotate, feed, flush, the query
-// sugars, per-venue stats, snapshot and drain admin, unload.
+// handleVenueScoped forwards a /v1/venues/{venue}/... request to the
+// venue's owning backend — annotate, feed, flush, the query sugars,
+// per-venue stats and model — and DELETE /v1/admin/venues/{venue}
+// (unload).
 func (rt *Router) handleVenueScoped(w http.ResponseWriter, r *http.Request) {
 	rt.forwardToOwner(w, r, r.PathValue("venue"))
 }
 
-// handleAdminVenueScoped proxies the backends' consolidated admin
-// tree (/v1/admin/venues/{venue}/...) to the venue's owner, with one
+// handleAdminVenueScoped proxies the backends' admin tree
+// (/v1/admin/venues/{venue}/...) to the venue's owner, with one
 // router-side guard: a retrain trigger against a venue mid-migration
 // is refused before it reaches the backend. The migration is moving a
 // settled snapshot of exactly the serving state; a hot swap landing
@@ -37,7 +39,7 @@ func (rt *Router) handleAdminVenueScoped(w http.ResponseWriter, r *http.Request)
 		migrating := rt.migrating[venue]
 		rt.mu.RUnlock()
 		if migrating {
-			rt.writeError(w, r, http.StatusConflict,
+			httpx.WriteError(w, r, http.StatusConflict,
 				fmt.Errorf("%w: venue %q is migrating; retry after the cutover", c2mn.ErrMigrationConflict, venue))
 			return
 		}
@@ -53,7 +55,7 @@ func (rt *Router) handleBareVenuePath(w http.ResponseWriter, r *http.Request) {
 	if venue == "" {
 		known := rt.knownVenues()
 		if len(known) != 1 {
-			rt.writeError(w, r, http.StatusBadRequest,
+			httpx.WriteError(w, r, http.StatusBadRequest,
 				fmt.Errorf("%d venue(s) in the fleet: pass ?venue=", len(known)))
 			return
 		}
@@ -63,7 +65,7 @@ func (rt *Router) handleBareVenuePath(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLoadVenue places a new venue: HRW over the ready backends
-// decides where POST /v1/venues lands (the body names server-side
+// decides where POST /v1/admin/venues lands (the body names server-side
 // file paths, so the owning backend loads from its own disk).
 func (rt *Router) handleLoadVenue(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody))
@@ -79,12 +81,12 @@ func (rt *Router) handleLoadVenue(w http.ResponseWriter, r *http.Request) {
 	_ = json.Unmarshal(body, &req)
 	venue := req.Venue
 	if venue == "" {
-		rt.writeError(w, r, http.StatusBadRequest, errors.New("venue is required"))
+		httpx.WriteError(w, r, http.StatusBadRequest, errors.New("venue is required"))
 		return
 	}
 	backend, err := rt.owner(venue)
 	if err != nil {
-		rt.writeError(w, r, http.StatusServiceUnavailable, err)
+		httpx.WriteError(w, r, http.StatusServiceUnavailable, err)
 		return
 	}
 	rt.forward(w, r, backend, body)
@@ -94,12 +96,12 @@ func (rt *Router) handleLoadVenue(w http.ResponseWriter, r *http.Request) {
 // buffering the body so transport-level retries can replay it.
 func (rt *Router) forwardToOwner(w http.ResponseWriter, r *http.Request, venue string) {
 	if venue == "" {
-		rt.writeError(w, r, http.StatusBadRequest, errors.New("empty venue ID"))
+		httpx.WriteError(w, r, http.StatusBadRequest, errors.New("empty venue ID"))
 		return
 	}
 	backend, err := rt.owner(venue)
 	if err != nil {
-		rt.writeError(w, r, http.StatusServiceUnavailable, err)
+		httpx.WriteError(w, r, http.StatusServiceUnavailable, err)
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody))
@@ -114,11 +116,11 @@ func (rt *Router) forwardToOwner(w http.ResponseWriter, r *http.Request, venue s
 func (rt *Router) writeBodyError(w http.ResponseWriter, r *http.Request, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		rt.writeError(w, r, http.StatusRequestEntityTooLarge,
+		httpx.WriteError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
 		return
 	}
-	rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+	httpx.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 }
 
 // forward proxies one buffered request to a backend and streams the
@@ -136,7 +138,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, backend string
 	resp, err := rt.roundTrip(r.Context(), r.Method, target, r.Header, body)
 	if err != nil {
 		rt.markUnreachable(backend, err)
-		rt.writeError(w, r, http.StatusBadGateway,
+		httpx.WriteError(w, r, http.StatusBadGateway,
 			fmt.Errorf("backend %s unreachable: %w", backend, err))
 		return
 	}
@@ -146,7 +148,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, backend string
 			resp.Body.Close()
 			redirected, err := rt.roundTrip(r.Context(), r.Method, loc, r.Header, body)
 			if err != nil {
-				rt.writeError(w, r, http.StatusBadGateway,
+				httpx.WriteError(w, r, http.StatusBadGateway,
 					fmt.Errorf("following migration redirect to %s: %w", loc, err))
 				return
 			}
@@ -265,7 +267,7 @@ func (rt *Router) backendJSONCond(ctx context.Context, method, target string, bo
 // them so errors.Is works across the process boundary.
 func backendError(method, target string, status int, body []byte) error {
 	var payload struct {
-		Error wireError `json:"error"`
+		Error httpx.WireError `json:"error"`
 	}
 	msg := strings.TrimSpace(string(body))
 	var sentinel error
@@ -291,9 +293,16 @@ func backendError(method, target string, status int, body []byte) error {
 	return err
 }
 
-// venuePath builds a backend /v1/venues/{venue} subresource URL.
+// venuePath builds a backend data-plane /v1/venues/{venue}/{sub} URL.
 func venuePath(backend, venue, sub string) string {
-	p := backend + "/v1/venues/" + url.PathEscape(venue)
+	return backend + "/v1/venues/" + url.PathEscape(venue) + "/" + sub
+}
+
+// adminVenuePath builds a backend /v1/admin/venues/{venue}[/{sub}]
+// URL: the migration coordinator's drain, snapshot, transfer and
+// unload calls.
+func adminVenuePath(backend, venue, sub string) string {
+	p := backend + "/v1/admin/venues/" + url.PathEscape(venue)
 	if sub != "" {
 		p += "/" + sub
 	}

@@ -2,9 +2,6 @@ package router
 
 import (
 	"context"
-	"crypto/rand"
-	"crypto/subtle"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,6 +13,7 @@ import (
 	"time"
 
 	"c2mn"
+	"c2mn/internal/httpx"
 	"c2mn/internal/lru"
 )
 
@@ -24,10 +22,10 @@ import (
 type Config struct {
 	// Backends seeds the backend table with msserve base URLs
 	// (e.g. "http://10.0.0.7:8080"). More can be added and removed at
-	// runtime through /admin/backends.
+	// runtime through /v1/admin/backends.
 	Backends []string
 
-	// AdminToken gates the router's own /admin plane behind
+	// AdminToken gates the router's own /v1/admin plane behind
 	// `Authorization: Bearer <token>`. Empty leaves it open.
 	AdminToken string
 
@@ -38,7 +36,7 @@ type Config struct {
 	BackendToken string
 
 	// HealthInterval is the period of the background health sweep
-	// (default 2s). Each sweep probes every backend's /readyz and,
+	// (default 2s). Each sweep probes every backend's /v1/readyz and,
 	// when ready, refreshes its hosted-venue list from /v1/venues.
 	HealthInterval time.Duration
 
@@ -97,9 +95,9 @@ type Config struct {
 // Router is the stateless routing tier. Create with New, mount as an
 // http.Handler, and run the health loop with Run.
 type Router struct {
-	cfg    Config
-	client *http.Client
-	mux    *http.ServeMux
+	cfg     Config
+	client  *http.Client
+	handler http.Handler
 
 	mu        sync.RWMutex
 	backends  map[string]*backendState
@@ -114,7 +112,7 @@ type Router struct {
 	partialMu sync.Mutex
 	partials  *lru.Cache[string, scatterPartial]
 
-	// Partial-cache counters, reported on /admin/backends.
+	// Partial-cache counters, reported on /v1/admin/backends.
 	partialHits   atomic.Int64 // 304: cached partial reused as-is
 	partialMisses atomic.Int64 // full fetch: cold key or moved store
 	partialRevals atomic.Int64 // conditional requests sent
@@ -198,40 +196,15 @@ func New(cfg Config) (*Router, error) {
 		}
 		rt.backends[u] = &backendState{url: u, venues: map[string]bool{}}
 	}
-	rt.mux = rt.routes()
+	rt.handler = httpx.RequestID(httpx.Envelope(rt.routes()))
 	return rt, nil
 }
 
 // ServeHTTP dispatches to the router's route table, stamping every
-// request with an X-Request-ID (generated when the client sent none)
-// that is echoed on the response and forwarded to the backends.
+// request with an X-Request-ID that is echoed on the response and
+// forwarded to the backends.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get(requestIDHeader) == "" {
-		r.Header.Set(requestIDHeader, newRequestID())
-	}
-	w.Header().Set(requestIDHeader, r.Header.Get(requestIDHeader))
-	if strings.HasPrefix(r.URL.Path, "/v1/") {
-		// Mux-generated 404/405s under /v1 get the typed envelope like
-		// every router- or backend-originated error (see wire.go).
-		ew := &envelopeWriter{ResponseWriter: w, r: r}
-		rt.mux.ServeHTTP(ew, r)
-		ew.finish(rt)
-		return
-	}
-	rt.mux.ServeHTTP(w, r)
-}
-
-// requestIDHeader correlates one request across the router and the
-// backend that served it; both embed it in /v1 error payloads.
-const requestIDHeader = "X-Request-ID"
-
-// newRequestID returns a fresh 16-hex-char request ID.
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
+	rt.handler.ServeHTTP(w, r)
 }
 
 // routes assembles the route table: the router's own health and admin
@@ -241,37 +214,22 @@ func (rt *Router) routes() *http.ServeMux {
 	// The router's own probes. Liveness is unconditional; readiness
 	// requires at least one ready backend — a router that can place
 	// nothing should be pulled from its load balancer.
-	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /readyz", rt.handleReadyz)
 	mux.HandleFunc("GET /v1/readyz", rt.handleReadyz)
-	// Admin plane: backend table, placement, migration. Canonical
-	// under /v1/admin/ — mirroring the backends' consolidation — with
-	// the pre-consolidation /admin/* mounts kept as deprecated aliases
-	// steering to the successor.
-	adminRoutes := []struct {
-		pattern string
-		h       http.HandlerFunc
-	}{
-		{"GET /backends", rt.handleListBackends},
-		{"POST /backends", rt.handleAddBackend},
-		{"DELETE /backends", rt.handleRemoveBackend},
-		{"GET /assignments", rt.handleAssignments},
-		{"POST /pins", rt.handleSetPin},
-		{"DELETE /pins", rt.handleDeletePin},
-		{"POST /migrate", rt.handleMigrate},
-	}
-	for _, a := range adminRoutes {
-		method, path, _ := strings.Cut(a.pattern, " ")
-		h := rt.admin(a.h)
-		mux.HandleFunc(method+" /v1/admin"+path, h)
-		mux.HandleFunc(method+" /admin"+path, deprecatedAdmin(h))
-	}
-	// The backends' consolidated admin tree (/v1/admin/venues/...)
-	// proxies to the venue's owner verbatim — the backend enforces its
-	// own token, and the client's Authorization header is forwarded.
-	// POST /v1/admin/venues places a new venue like POST /v1/venues;
-	// the venue-scoped rest goes through the retrain/migration guard.
+	// Admin plane: backend table, placement, migration.
+	admin := func(pattern string, h http.HandlerFunc) { mux.HandleFunc(pattern, rt.admin(h)) }
+	admin("GET /v1/admin/backends", rt.handleListBackends)
+	admin("POST /v1/admin/backends", rt.handleAddBackend)
+	admin("DELETE /v1/admin/backends", rt.handleRemoveBackend)
+	admin("GET /v1/admin/assignments", rt.handleAssignments)
+	admin("POST /v1/admin/pins", rt.handleSetPin)
+	admin("DELETE /v1/admin/pins", rt.handleDeletePin)
+	admin("POST /v1/admin/migrate", rt.handleMigrate)
+	// The backends' admin tree (/v1/admin/venues/...) proxies to the
+	// venue's owner verbatim — the backend enforces its own token, and
+	// the client's Authorization header is forwarded. POST
+	// /v1/admin/venues places a new venue; the venue-scoped rest goes
+	// through the retrain/migration guard.
 	mux.HandleFunc("POST /v1/admin/venues", rt.handleLoadVenue)
 	mux.HandleFunc("/v1/admin/venues/{venue}", rt.handleVenueScoped)
 	mux.HandleFunc("/v1/admin/venues/{venue}/{rest...}", rt.handleAdminVenueScoped)
@@ -281,8 +239,6 @@ func (rt *Router) routes() *http.ServeMux {
 	mux.HandleFunc("GET /v1/query/frequent-pairs", rt.handleTopKSugar)
 	mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	mux.HandleFunc("GET /v1/venues", rt.handleListVenues)
-	mux.HandleFunc("POST /v1/venues", rt.handleLoadVenue)
-	mux.HandleFunc("/v1/venues/{venue}", rt.handleVenueScoped)
 	mux.HandleFunc("/v1/venues/{venue}/{rest...}", rt.handleVenueScoped)
 	mux.HandleFunc("POST /v1/annotate", rt.handleBareVenuePath)
 	mux.HandleFunc("POST /v1/feed", rt.handleBareVenuePath)
@@ -320,7 +276,7 @@ func (rt *Router) Run(ctx context.Context) {
 	}
 }
 
-// CheckNow probes every backend once, concurrently: GET /readyz
+// CheckNow probes every backend once, concurrently: GET /v1/readyz
 // decides readiness, and a ready backend's /v1/venues refreshes the
 // hosted-venue discovery that fleet queries and HRW placement use.
 func (rt *Router) CheckNow(ctx context.Context) {
@@ -371,7 +327,7 @@ func (rt *Router) probe(ctx context.Context, url string) {
 // probeBackend performs the two probe requests. A nil venues map
 // means "no fresh discovery" (keep what we had).
 func (rt *Router) probeBackend(ctx context.Context, url string) (ready bool, venues map[string]bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/readyz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/readyz", nil)
 	if err != nil {
 		return false, nil, err
 	}
@@ -498,17 +454,17 @@ func (rt *Router) readyBackends() []string {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	noStore(w)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpx.NoStore(w)
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	noStore(w)
+	httpx.NoStore(w)
 	if len(rt.readyBackends()) > 0 {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 		return
 	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no ready backends"})
+	httpx.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no ready backends"})
 }
 
 // admin wraps a handler with the router's bearer-token gate. Admin
@@ -517,31 +473,14 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // could replay an authorized response to an unauthorized caller.
 func (rt *Router) admin(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		noStore(w)
-		if rt.cfg.AdminToken != "" {
-			token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-			if !ok || subtle.ConstantTimeCompare([]byte(token), []byte(rt.cfg.AdminToken)) != 1 {
-				w.Header().Set("WWW-Authenticate", "Bearer")
-				rt.writeError(w, r, http.StatusUnauthorized, errors.New("admin endpoint requires a valid bearer token"))
-				return
-			}
+		httpx.NoStore(w)
+		if httpx.Authorized(w, r, rt.cfg.AdminToken) {
+			h(w, r)
 		}
-		h(w, r)
 	}
 }
 
-// deprecatedAdmin marks a pre-consolidation /admin/* mount: same
-// wrapped handler as its /v1/admin twin, plus RFC 8594-style headers
-// steering clients to the consolidated successor.
-func deprecatedAdmin(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1`+r.URL.Path+`>; rel="successor-version"`)
-		h(w, r)
-	}
-}
-
-// backendInfo is one row of the /admin/backends listing.
+// backendInfo is one row of the /v1/admin/backends listing.
 type backendInfo struct {
 	URL           string   `json:"url"`
 	Ready         bool     `json:"ready"`
@@ -569,7 +508,7 @@ func (rt *Router) handleListBackends(w http.ResponseWriter, r *http.Request) {
 	rt.partialMu.Lock()
 	entries := rt.partials.Len()
 	rt.partialMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{
 		"backends": out,
 		"scatter_cache": map[string]any{
 			"entries":       entries,
@@ -585,12 +524,12 @@ func (rt *Router) handleAddBackend(w http.ResponseWriter, r *http.Request) {
 		URL string `json:"url"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody)).Decode(&req); err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		httpx.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	u := strings.TrimSuffix(strings.TrimSpace(req.URL), "/")
 	if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
-		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("backend %q: want an http(s) base URL", req.URL))
+		httpx.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("backend %q: want an http(s) base URL", req.URL))
 		return
 	}
 	rt.mu.Lock()
@@ -601,13 +540,13 @@ func (rt *Router) handleAddBackend(w http.ResponseWriter, r *http.Request) {
 	// Probe immediately so the new backend can take traffic without
 	// waiting out a health interval.
 	rt.probe(r.Context(), u)
-	writeJSON(w, http.StatusCreated, map[string]string{"url": u, "status": "added"})
+	httpx.WriteJSON(w, http.StatusCreated, map[string]string{"url": u, "status": "added"})
 }
 
 func (rt *Router) handleRemoveBackend(w http.ResponseWriter, r *http.Request) {
 	u := strings.TrimSuffix(r.URL.Query().Get("url"), "/")
 	if u == "" {
-		rt.writeError(w, r, http.StatusBadRequest, errors.New("pass ?url=<backend base URL>"))
+		httpx.WriteError(w, r, http.StatusBadRequest, errors.New("pass ?url=<backend base URL>"))
 		return
 	}
 	rt.mu.Lock()
@@ -615,13 +554,13 @@ func (rt *Router) handleRemoveBackend(w http.ResponseWriter, r *http.Request) {
 	delete(rt.backends, u)
 	rt.mu.Unlock()
 	if !ok {
-		rt.writeError(w, r, http.StatusNotFound, fmt.Errorf("backend %q not in the table", u))
+		httpx.WriteError(w, r, http.StatusNotFound, fmt.Errorf("backend %q not in the table", u))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"url": u, "status": "removed"})
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"url": u, "status": "removed"})
 }
 
-// assignment is one row of the /admin/assignments listing: where a
+// assignment is one row of the /v1/admin/assignments listing: where a
 // venue's traffic currently goes and why.
 type assignment struct {
 	Venue   string `json:"venue"`
@@ -646,7 +585,7 @@ func (rt *Router) handleAssignments(w http.ResponseWriter, r *http.Request) {
 		out = append(out, row)
 	}
 	rt.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{"assignments": out})
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"assignments": out})
 }
 
 func (rt *Router) handleSetPin(w http.ResponseWriter, r *http.Request) {
@@ -655,12 +594,12 @@ func (rt *Router) handleSetPin(w http.ResponseWriter, r *http.Request) {
 		Backend string `json:"backend"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody)).Decode(&req); err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		httpx.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	req.Backend = strings.TrimSuffix(req.Backend, "/")
 	if req.Venue == "" || req.Backend == "" {
-		rt.writeError(w, r, http.StatusBadRequest, errors.New("venue and backend are required"))
+		httpx.WriteError(w, r, http.StatusBadRequest, errors.New("venue and backend are required"))
 		return
 	}
 	rt.mu.Lock()
@@ -670,16 +609,16 @@ func (rt *Router) handleSetPin(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.Unlock()
 	if !known {
-		rt.writeError(w, r, http.StatusNotFound, fmt.Errorf("backend %q not in the table", req.Backend))
+		httpx.WriteError(w, r, http.StatusNotFound, fmt.Errorf("backend %q not in the table", req.Backend))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"venue": req.Venue, "backend": req.Backend, "status": "pinned"})
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"venue": req.Venue, "backend": req.Backend, "status": "pinned"})
 }
 
 func (rt *Router) handleDeletePin(w http.ResponseWriter, r *http.Request) {
 	v := r.URL.Query().Get("venue")
 	if v == "" {
-		rt.writeError(w, r, http.StatusBadRequest, errors.New("pass ?venue="))
+		httpx.WriteError(w, r, http.StatusBadRequest, errors.New("pass ?venue="))
 		return
 	}
 	rt.mu.Lock()
@@ -687,10 +626,10 @@ func (rt *Router) handleDeletePin(w http.ResponseWriter, r *http.Request) {
 	delete(rt.pins, v)
 	rt.mu.Unlock()
 	if !ok {
-		rt.writeError(w, r, http.StatusNotFound, fmt.Errorf("venue %q is not pinned", v))
+		httpx.WriteError(w, r, http.StatusNotFound, fmt.Errorf("venue %q is not pinned", v))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"venue": v, "status": "unpinned"})
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"venue": v, "status": "unpinned"})
 }
 
 func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) {
@@ -699,26 +638,26 @@ func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		To    string `json:"to"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody)).Decode(&req); err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		httpx.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if req.Venue == "" || req.To == "" {
-		rt.writeError(w, r, http.StatusBadRequest, errors.New("venue and to are required"))
+		httpx.WriteError(w, r, http.StatusBadRequest, errors.New("venue and to are required"))
 		return
 	}
 	report, err := rt.Migrate(r.Context(), req.Venue, strings.TrimSuffix(req.To, "/"))
 	if err != nil {
 		switch {
 		case errors.Is(err, c2mn.ErrMigrationConflict):
-			rt.writeError(w, r, http.StatusConflict, err)
+			httpx.WriteError(w, r, http.StatusConflict, err)
 		case errors.Is(err, c2mn.ErrNoBackend):
-			rt.writeError(w, r, http.StatusServiceUnavailable, err)
+			httpx.WriteError(w, r, http.StatusServiceUnavailable, err)
 		case errors.Is(err, c2mn.ErrUnknownVenue):
-			rt.writeError(w, r, http.StatusNotFound, err)
+			httpx.WriteError(w, r, http.StatusNotFound, err)
 		default:
-			rt.writeError(w, r, http.StatusBadGateway, err)
+			httpx.WriteError(w, r, http.StatusBadGateway, err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, report)
+	httpx.WriteJSON(w, http.StatusOK, report)
 }

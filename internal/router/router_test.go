@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"c2mn"
+	"c2mn/internal/httpx"
 	"c2mn/internal/query"
 )
 
@@ -45,7 +46,7 @@ type fakeBackend struct {
 func newFakeBackend(t *testing.T) *fakeBackend {
 	f := &fakeBackend{t: t, venues: map[string]*fakeVenue{}, drained: map[string]string{}}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	})
 	mux.HandleFunc("GET /v1/venues", func(w http.ResponseWriter, r *http.Request) {
@@ -60,7 +61,7 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		for i, id := range ids {
 			rows[i] = map[string]any{"venue": id}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"venues": rows})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"venues": rows})
 	})
 	mux.HandleFunc("POST /v1/query", f.handleQuery)
 	mux.HandleFunc("GET /v1/venues/{venue}/stats", func(w http.ResponseWriter, r *http.Request) {
@@ -72,7 +73,7 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		f.mu.Lock()
 		st := v.Stats
 		f.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
+		httpx.WriteJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("POST /v1/venues/{venue}/feed", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -85,7 +86,7 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		if id := r.Header.Get("X-Request-ID"); id != "" {
 			w.Header().Set("X-Request-ID", id)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"venue": r.PathValue("venue"), "fed": 1})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"venue": r.PathValue("venue"), "fed": 1})
 	})
 	drain := func(w http.ResponseWriter, r *http.Request) {
 		if !f.authorized(w, r) {
@@ -99,14 +100,10 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		f.drained[r.PathValue("venue")] = body.RedirectTo
 		f.mu.Unlock()
 		f.record(fmt.Sprintf("drain %s redirect=%q", r.PathValue("venue"), body.RedirectTo))
-		writeJSON(w, http.StatusOK, map[string]string{"status": "draining"})
+		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "draining"})
 	}
-	// Mounted on both the pre-consolidation path (the migration
-	// coordinator's client uses it) and the /v1/admin twin, like the
-	// real msserve.
-	mux.HandleFunc("POST /v1/venues/{venue}/drain", drain)
 	mux.HandleFunc("POST /v1/admin/venues/{venue}/drain", drain)
-	mux.HandleFunc("DELETE /v1/venues/{venue}/drain", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /v1/admin/venues/{venue}/drain", func(w http.ResponseWriter, r *http.Request) {
 		if !f.authorized(w, r) {
 			return
 		}
@@ -114,16 +111,16 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		delete(f.drained, r.PathValue("venue"))
 		f.mu.Unlock()
 		f.record("undrain " + r.PathValue("venue"))
-		writeJSON(w, http.StatusOK, map[string]string{"status": "serving"})
+		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "serving"})
 	})
-	mux.HandleFunc("POST /v1/venues/{venue}/snapshot", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/admin/venues/{venue}/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		if !f.authorized(w, r) {
 			return
 		}
 		f.record("snapshot " + r.PathValue("venue"))
-		writeJSON(w, http.StatusOK, map[string]string{"venue": r.PathValue("venue")})
+		httpx.WriteJSON(w, http.StatusOK, map[string]string{"venue": r.PathValue("venue")})
 	})
-	mux.HandleFunc("GET /v1/venues/{venue}/snapshot/file", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/admin/venues/{venue}/snapshot/file", func(w http.ResponseWriter, r *http.Request) {
 		if !f.authorized(w, r) {
 			return
 		}
@@ -138,7 +135,7 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		f.mu.Unlock()
 		w.Write(buf)
 	})
-	mux.HandleFunc("PUT /v1/venues/{venue}/snapshot/file", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PUT /v1/admin/venues/{venue}/snapshot/file", func(w http.ResponseWriter, r *http.Request) {
 		if !f.authorized(w, r) {
 			return
 		}
@@ -146,16 +143,16 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		buf, _ := io.ReadAll(r.Body)
 		var v fakeVenue
 		if err := json.Unmarshal(buf, &v); err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]wireError{"error": {Code: "snapshot_corrupt", Message: err.Error()}})
+			httpx.WriteJSON(w, http.StatusUnprocessableEntity, map[string]httpx.WireError{"error": {Code: "snapshot_corrupt", Message: err.Error()}})
 			return
 		}
 		f.mu.Lock()
 		f.venues[id] = &v
 		f.mu.Unlock()
 		f.record("restore " + id)
-		writeJSON(w, http.StatusOK, map[string]any{"venue": id, "status": "restored"})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"venue": id, "status": "restored"})
 	})
-	mux.HandleFunc("DELETE /v1/venues/{venue}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /v1/admin/venues/{venue}", func(w http.ResponseWriter, r *http.Request) {
 		if !f.authorized(w, r) {
 			return
 		}
@@ -164,7 +161,7 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		delete(f.venues, id)
 		f.mu.Unlock()
 		f.record("unload " + id)
-		writeJSON(w, http.StatusOK, map[string]string{"venue": id, "status": "unloaded"})
+		httpx.WriteJSON(w, http.StatusOK, map[string]string{"venue": id, "status": "unloaded"})
 	})
 	mux.HandleFunc("POST /v1/admin/venues/{venue}/retrain", func(w http.ResponseWriter, r *http.Request) {
 		if !f.authorized(w, r) {
@@ -176,7 +173,7 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 			return
 		}
 		f.record("retrain " + id)
-		writeJSON(w, http.StatusOK, map[string]any{
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{
 			"venue": id, "decision": map[string]any{"outcome": "swapped"},
 		})
 	})
@@ -193,7 +190,7 @@ func (f *fakeBackend) authorized(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	}
 	if r.Header.Get("Authorization") != "Bearer "+token {
-		writeJSON(w, http.StatusUnauthorized, map[string]wireError{"error": {Code: "unauthorized", Message: "bad token"}})
+		httpx.WriteJSON(w, http.StatusUnauthorized, map[string]httpx.WireError{"error": {Code: "unauthorized", Message: "bad token"}})
 		return false
 	}
 	return true
@@ -219,7 +216,7 @@ func (f *fakeBackend) callLog() []string {
 }
 
 func (f *fakeBackend) writeUnknownVenue(w http.ResponseWriter, id string) {
-	writeJSON(w, http.StatusNotFound, map[string]wireError{"error": {
+	httpx.WriteJSON(w, http.StatusNotFound, map[string]httpx.WireError{"error": {
 		Code: "unknown_venue", Message: fmt.Sprintf("c2mn: unknown venue: %q", id),
 	}})
 }
@@ -231,12 +228,12 @@ func (f *fakeBackend) writeUnknownVenue(w http.ResponseWriter, id string) {
 func (f *fakeBackend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]wireError{"error": {Code: "invalid_argument", Message: err.Error()}})
+		httpx.WriteJSON(w, http.StatusBadRequest, map[string]httpx.WireError{"error": {Code: "invalid_argument", Message: err.Error()}})
 		return
 	}
 	if len(req.Venues) != 1 {
 		f.t.Errorf("fake backend got a query for %d venues; the router must scatter per venue", len(req.Venues))
-		writeJSON(w, http.StatusBadRequest, map[string]wireError{"error": {Code: "invalid_query", Message: "want one venue"}})
+		httpx.WriteJSON(w, http.StatusBadRequest, map[string]httpx.WireError{"error": {Code: "invalid_query", Message: "want one venue"}})
 		return
 	}
 	id := req.Venues[0]
@@ -262,7 +259,7 @@ func (f *fakeBackend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		res.Regions = query.TruncateRegionCounts(v.Regions, req.K)
 	}
-	writeJSON(w, http.StatusOK, queryResponse{QueryResult: res})
+	httpx.WriteJSON(w, http.StatusOK, queryResponse{QueryResult: res})
 }
 
 // testRouter builds a router over the fakes and runs one health sweep.
@@ -335,7 +332,7 @@ func TestRouterNeverRetriesBackpressure(t *testing.T) {
 	a.feedHook = func(w http.ResponseWriter, r *http.Request) bool {
 		hits++
 		w.Header().Set("Retry-After", "7")
-		writeJSON(w, http.StatusTooManyRequests, map[string]wireError{"error": {Code: "backlog", Message: "c2mn: annotation backlog"}})
+		httpx.WriteJSON(w, http.StatusTooManyRequests, map[string]httpx.WireError{"error": {Code: "backlog", Message: "c2mn: annotation backlog"}})
 		return true
 	}
 	rt := testRouter(t, Config{Retries: 3}, a)
@@ -378,7 +375,7 @@ func TestRouterDeadBackendYields502AndUnready(t *testing.T) {
 		t.Fatalf("status = %s, want 502", resp.Status)
 	}
 	var e struct {
-		Error wireError `json:"error"`
+		Error httpx.WireError `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
@@ -403,7 +400,7 @@ func TestRouterDeadBackendYields502AndUnready(t *testing.T) {
 		t.Fatalf("post-markdown status = %s, want 503", resp2.Status)
 	}
 	var e2 struct {
-		Error wireError `json:"error"`
+		Error httpx.WireError `json:"error"`
 	}
 	if err := json.NewDecoder(resp2.Body).Decode(&e2); err != nil {
 		t.Fatal(err)
@@ -750,13 +747,13 @@ func TestRouterMigrationRollsBackOnRestoreFailure(t *testing.T) {
 	// No cold copy on dst: the restore will 404 and the migration must
 	// undrain the source and leave routing where it was.
 	dstMux := http.NewServeMux()
-	dstMux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(200) })
+	dstMux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(200) })
 	dstMux.HandleFunc("GET /v1/venues", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"venues": []any{}})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"venues": []any{}})
 	})
-	dstMux.HandleFunc("PUT /v1/venues/{venue}/snapshot/file", func(w http.ResponseWriter, r *http.Request) {
+	dstMux.HandleFunc("PUT /v1/admin/venues/{venue}/snapshot/file", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
-		writeJSON(w, http.StatusNotFound, map[string]wireError{"error": {Code: "unknown_venue", Message: "no such venue"}})
+		httpx.WriteJSON(w, http.StatusNotFound, map[string]httpx.WireError{"error": {Code: "unknown_venue", Message: "no such venue"}})
 	})
 	dst.srv.Close()
 	dst.srv = httptest.NewServer(dstMux)
@@ -806,7 +803,7 @@ func TestRouterAdminPlane(t *testing.T) {
 	ts := routerServer(t, rt)
 
 	// Tokenless admin calls bounce.
-	resp, err := http.Get(ts.URL + "/admin/backends")
+	resp, err := http.Get(ts.URL + "/v1/admin/backends")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -826,7 +823,7 @@ func TestRouterAdminPlane(t *testing.T) {
 		return resp
 	}
 
-	resp = authed(http.MethodGet, "/admin/backends", "")
+	resp = authed(http.MethodGet, "/v1/admin/backends", "")
 	var table struct {
 		Backends []backendInfo `json:"backends"`
 	}
@@ -841,7 +838,7 @@ func TestRouterAdminPlane(t *testing.T) {
 	// Add a second backend at runtime; it becomes routable immediately.
 	b := newFakeBackend(t)
 	b.venues["south"] = &fakeVenue{}
-	resp = authed(http.MethodPost, "/admin/backends", fmt.Sprintf(`{"url":%q}`, b.srv.URL))
+	resp = authed(http.MethodPost, "/v1/admin/backends", fmt.Sprintf(`{"url":%q}`, b.srv.URL))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("add backend status = %s", resp.Status)
@@ -856,7 +853,7 @@ func TestRouterAdminPlane(t *testing.T) {
 	}
 
 	// Assignments list both venues with their backends.
-	resp = authed(http.MethodGet, "/admin/assignments", "")
+	resp = authed(http.MethodGet, "/v1/admin/assignments", "")
 	var asg struct {
 		Assignments []assignment `json:"assignments"`
 	}
@@ -869,7 +866,7 @@ func TestRouterAdminPlane(t *testing.T) {
 	}
 
 	// Pins override the hash and are visible in assignments.
-	resp = authed(http.MethodPost, "/admin/pins", fmt.Sprintf(`{"venue":"north","backend":%q}`, b.srv.URL))
+	resp = authed(http.MethodPost, "/v1/admin/pins", fmt.Sprintf(`{"venue":"north","backend":%q}`, b.srv.URL))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pin status = %s", resp.Status)
@@ -881,14 +878,14 @@ func TestRouterAdminPlane(t *testing.T) {
 	if owner != b.srv.URL {
 		t.Fatalf("pinned owner = %q, want %q", owner, b.srv.URL)
 	}
-	resp = authed(http.MethodDelete, "/admin/pins?venue=north", "")
+	resp = authed(http.MethodDelete, "/v1/admin/pins?venue=north", "")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("unpin status = %s", resp.Status)
 	}
 
 	// Removing a backend takes it out of routing.
-	resp = authed(http.MethodDelete, "/admin/backends?url="+b.srv.URL, "")
+	resp = authed(http.MethodDelete, "/v1/admin/backends?url="+b.srv.URL, "")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("remove backend status = %s", resp.Status)
@@ -904,7 +901,7 @@ func TestRouterReadyzReflectsBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := routerServer(t, rt)
-	resp, err := http.Get(ts.URL + "/readyz")
+	resp, err := http.Get(ts.URL + "/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -912,7 +909,7 @@ func TestRouterReadyzReflectsBackends(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("empty-table readyz = %s, want 503", resp.Status)
 	}
-	resp, err = http.Get(ts.URL + "/healthz")
+	resp, err = http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

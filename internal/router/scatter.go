@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"c2mn"
+	"c2mn/internal/httpx"
 	"c2mn/internal/query"
 )
 
@@ -168,22 +169,22 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var req queryRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		httpx.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if req.PageSize < 0 {
-		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("negative page_size %d", req.PageSize))
+		httpx.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("negative page_size %d", req.PageSize))
 		return
 	}
 	q, pageSize, offset := req.Query, req.PageSize, 0
 	if req.Cursor != "" {
 		if !reflect.DeepEqual(req.Query, c2mn.Query{}) {
-			rt.writeError(w, r, http.StatusBadRequest, errors.New("cursor and query fields are mutually exclusive"))
+			httpx.WriteError(w, r, http.StatusBadRequest, errors.New("cursor and query fields are mutually exclusive"))
 			return
 		}
 		cur, err := decodeCursor(req.Cursor)
 		if err != nil {
-			rt.writeError(w, r, http.StatusBadRequest, err)
+			httpx.WriteError(w, r, http.StatusBadRequest, err)
 			return
 		}
 		q, offset = cur.Query, cur.Offset
@@ -194,7 +195,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	nq, err := normalizeQuery(q)
 	if err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, err)
+		httpx.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	if nq.Scope != c2mn.ScopeFleet {
@@ -214,13 +215,13 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if next := paginate(&resp.QueryResult, offset, pageSize); next >= 0 {
 			cursor, err := encodeCursor(queryCursor{Query: q, PageSize: pageSize, Offset: next})
 			if err != nil {
-				rt.writeError(w, r, http.StatusInternalServerError, err)
+				httpx.WriteError(w, r, http.StatusInternalServerError, err)
 				return
 			}
 			resp.NextCursor = cursor
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // singleOwner reports whether every venue in the list resolves to one
@@ -247,15 +248,15 @@ func (rt *Router) singleOwner(venues []string) (string, bool) {
 func (rt *Router) writeScatterError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, c2mn.ErrInvalidQuery):
-		rt.writeError(w, r, http.StatusBadRequest, err)
+		httpx.WriteError(w, r, http.StatusBadRequest, err)
 	case errors.Is(err, c2mn.ErrUnknownVenue):
-		rt.writeError(w, r, http.StatusNotFound, err)
+		httpx.WriteError(w, r, http.StatusNotFound, err)
 	case errors.Is(err, c2mn.ErrNoBackend):
-		rt.writeError(w, r, http.StatusServiceUnavailable, err)
+		httpx.WriteError(w, r, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		rt.writeError(w, r, http.StatusServiceUnavailable, err)
+		httpx.WriteError(w, r, http.StatusServiceUnavailable, err)
 	default:
-		rt.writeError(w, r, http.StatusBadGateway, err)
+		httpx.WriteError(w, r, http.StatusBadGateway, err)
 	}
 }
 
@@ -417,13 +418,13 @@ func (rt *Router) handleTopKSugar(w http.ResponseWriter, r *http.Request) {
 	case vals.Get("scope") == "fleet":
 		scope = c2mn.ScopeFleet
 	case vals.Get("scope") != "":
-		rt.writeError(w, r, http.StatusBadRequest,
+		httpx.WriteError(w, r, http.StatusBadRequest,
 			fmt.Errorf("bad scope %q (only \"fleet\" may be given without venues)", vals.Get("scope")))
 		return
 	default:
 		known := rt.knownVenues()
 		if len(known) != 1 {
-			rt.writeError(w, r, http.StatusBadRequest,
+			httpx.WriteError(w, r, http.StatusBadRequest,
 				fmt.Errorf("%d venue(s) in the fleet: pass ?venue=, ?venues=a,b or ?scope=fleet", len(known)))
 			return
 		}
@@ -437,12 +438,12 @@ func (rt *Router) handleTopKSugar(w http.ResponseWriter, r *http.Request) {
 	}
 	regions, win, k, err := sugarParams(r)
 	if err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, err)
+		httpx.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	nq, err := normalizeQuery(c2mn.Query{Kind: kind, Scope: scope, Venues: venues, Regions: regions, Window: win, K: k})
 	if err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, err)
+		httpx.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	res, err := rt.scatter(r.Context(), nq)
@@ -462,7 +463,7 @@ func (rt *Router) handleTopKSugar(w http.ResponseWriter, r *http.Request) {
 		for i, pc := range res.Pairs {
 			out[i] = pairRow{A: int(pc.A), B: int(pc.B), Count: pc.Count}
 		}
-		writeJSON(w, http.StatusOK, out)
+		httpx.WriteJSON(w, http.StatusOK, out)
 		return
 	}
 	type regionRow struct {
@@ -473,7 +474,7 @@ func (rt *Router) handleTopKSugar(w http.ResponseWriter, r *http.Request) {
 	for i, rc := range res.Regions {
 		out[i] = regionRow{Region: int(rc.Region), Count: rc.Count}
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 // sugarParams parses the query sugars' k/start/end/regions exactly as
@@ -576,8 +577,8 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Totals.QueryCacheRevalidations += res.stats.QueryCacheRevalidations
 		resp.Totals.StoreNotifications += res.stats.StoreNotifications
 	}
-	noStore(w)
-	writeJSON(w, http.StatusOK, resp)
+	httpx.NoStore(w)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleListVenues merges GET /v1/venues across the ready backends.
@@ -631,8 +632,8 @@ func (rt *Router) handleListVenues(w http.ResponseWriter, r *http.Request) {
 	for i, rw := range merged {
 		out[i] = rw.raw
 	}
-	noStore(w)
-	writeJSON(w, http.StatusOK, map[string]any{"venues": out})
+	httpx.NoStore(w)
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"venues": out})
 }
 
 // handleFlush fans POST /v1/flush out venue-by-venue to each owner —
@@ -680,8 +681,8 @@ func (rt *Router) handleFlush(w http.ResponseWriter, r *http.Request) {
 		total.EmittedSequences += results[i].EmittedSequences
 	}
 	if len(failed) > 0 {
-		rt.writeError(w, r, http.StatusBadGateway, errors.Join(failed...))
+		httpx.WriteError(w, r, http.StatusBadGateway, errors.Join(failed...))
 		return
 	}
-	writeJSON(w, http.StatusOK, total)
+	httpx.WriteJSON(w, http.StatusOK, total)
 }

@@ -302,13 +302,28 @@ func Read(r io.Reader) (*File, error) {
 // point leaves either the previous snapshot or none — a reader can
 // never observe a torn file.
 func WriteFile(path string, f *File) error {
+	return writeAtomic(path, func(w io.Writer) error { return Write(w, f) })
+}
+
+// WriteFileBytes is WriteFile for an already-encoded snapshot, e.g. an
+// upload: data lands on disk verbatim, with the same atomicity.
+func WriteFileBytes(path string, data []byte) error {
+	return writeAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// writeAtomic runs write against a temporary file next to path and
+// moves the result into place: fsync, rename, directory fsync.
+func writeAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("snapshot: creating temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := Write(tmp, f); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -576,11 +576,11 @@ func BenchmarkAnnotateAllParallel(b *testing.B) {
 // BenchmarkTopKPopularRegions measures live-store top-k query latency
 // against the number of retained sequences. The bucketed aggregate
 // index answers from per-bucket region counts plus two boundary-bucket
-// scans, so the cost across the sub-benchmarks should stay roughly
-// flat while the store grows 16× — the sub-linear scaling CI tracks in
-// BENCH_infer.json. The fixed-width recent window mirrors the common
-// serving query ("the last ~15 minutes"); `stored-seqs` reports the
-// store size per sub-benchmark.
+// scans, so the cost grows with the events per bucket rather than with
+// the store — the sub-linear scaling CI tracks in BENCH_infer.json.
+// The fixed-width recent window mirrors the common serving query ("the
+// last ~15 minutes"); `stored-seqs` reports the store size per
+// sub-benchmark.
 func BenchmarkTopKPopularRegions(b *testing.B) {
 	const (
 		regions     = 32

@@ -1,9 +1,10 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"c2mn/internal/indoor"
 	"c2mn/internal/seq"
@@ -13,29 +14,54 @@ import (
 // set of retained ms-sequences. It answers the two top-k queries
 // exactly — identical to a brute-force recount over the retained
 // sequences — while paying per query a cost bounded by the bucket
-// count plus the events of at most two boundary buckets, instead of a
-// scan of every retained semantics triple.
+// count plus the events of at most two boundary buckets (TkPRQ), or by
+// the sequences active inside the window (TkFRPQ), instead of a scan
+// of every retained semantics triple.
+//
+// Every region a stored stay names gets a dense int32 slot on first
+// sight in Add (restores replay Add, so they are covered too); any
+// RegionID works, negative or huge. The aggregates and the per-query
+// scratch are slices indexed by slot or by position in the query,
+// never maps keyed by region. A query maps its region set onto slots
+// once: regions the index never stored have no slot and drop out,
+// duplicates collapse. Compaction
+// renumbers the slots over the surviving sequences, so the slot table
+// tracks the regions of live data rather than of all history.
 //
 // The structure is a ring of fixed-width time buckets covering the
 // span of all retained stay events. Per bucket it keeps
 //
-//   - per-region counts of stay events whose period *starts* in the
-//     bucket and, separately, whose period *ends* in the bucket;
-//   - the start/end event records themselves, for exact partial counts
-//     inside the two buckets a query window's edges fall into;
+//   - per-slot counts of stay events whose period *starts* in the
+//     bucket and, separately, whose period *ends* in the bucket
+//     (slot-indexed slices, grown lazily to the highest slot seen);
+//   - the start/end event records themselves (with their slot), for
+//     exact partial counts inside the two buckets a query window's
+//     edges fall into;
 //   - the set of sequences with a stay period intersecting the bucket,
 //     the candidate generator for the pair query.
+//
+// Beside the ring, Add computes one summary per sequence: the minimum
+// stay End, the maximum stay Start, each semantics triple's slot and
+// the distinct stay slots sorted by RegionID. The summaries live in
+// one slice parallel to the sequences plus one shared slot arena.
 //
 // TkPRQ uses the identity, valid for Start <= End windows,
 //
 //	#{e : e.End >= w.Start && e.Start <= w.End}
 //	  = #{e : e.Start <= w.End} - #{e : e.End < w.Start}
 //
-// both terms of which are a prefix sum over bucket aggregates plus one
-// boundary-bucket scan. TkFRPQ gathers the sequences registered in
-// the buckets the window overlaps and recounts only those — exact, and
-// proportional to the activity inside the window rather than to the
-// total retained history.
+// both terms of which are a prefix sum over the per-slot bucket
+// counts plus one boundary-bucket scan. TkFRPQ gathers the sequences
+// registered in the buckets the window overlaps, deduplicated by a
+// bitset over sequence indices, and counts each one's distinct query
+// regions. A sequence whose summary places every stay inside the
+// window (min End >= w.Start and max Start <= w.End) contributes its
+// stored distinct slot list as is; any other is recounted stay by
+// stay. Pairs accumulate in a dense triangular table over the query's
+// stored slots. Either query allocates its own scratch — O(retained
+// sequences / 64 + nq²) words for TkFRPQ, nq being the number of the
+// query's regions the index stores — so queries run concurrently under
+// a read lock.
 //
 // When the event span outgrows the bucket budget the bucket width
 // doubles and the ring is rebuilt from the retained sequences, so the
@@ -44,10 +70,10 @@ import (
 // out-of-order sequence completion (a stale sequence is evicted even
 // when fresher sequences arrived before it). Evicted sequences are
 // removed from the aggregates immediately and from the per-bucket
-// event lists lazily; a rebuild compacts the lists once dead
-// sequences outnumber live ones.
+// event lists lazily; a compaction drops them from the sequences,
+// summaries and ring once dead sequences outnumber live ones.
 //
-// An Index is not safe for concurrent use; Store adds the lock.
+// An Index is not safe for concurrent mutation; Store adds the lock.
 type Index struct {
 	retention float64
 
@@ -57,8 +83,13 @@ type Index struct {
 	base       int64   // time-key of buckets[0] (key = floor(t/width))
 	buckets    []bucket
 
-	seqs []idxSeq
-	heap []int32 // min-heap of seq indices ordered by end time
+	slotOf  map[indoor.RegionID]int32 // region -> dense slot
+	regions []indoor.RegionID         // slot -> region
+
+	seqs  []idxSeq
+	sums  []seqSummary // per sequence, parallel to seqs
+	arena []int32      // the slot lists of every summary
+	heap  []int32      // min-heap of seq indices ordered by end time
 
 	alive    int // live sequences
 	aliveSem int // semantics triples across live sequences
@@ -80,20 +111,33 @@ type idxSeq struct {
 	dead bool
 }
 
+// seqSummary is what the pair query needs of one sequence without
+// touching its semantics. arena[off : off+len(Semantics)] holds each
+// triple's slot (-1 for non-stays); the next distinct entries hold the
+// distinct stay slots, sorted by RegionID. A NaN stay bound makes the
+// matching extreme NaN, which fails every window test and so sends the
+// sequence to the stay-by-stay recount.
+type seqSummary struct {
+	minEnd   float64 // min stay End, +Inf without stays
+	maxStart float64 // max stay Start, -Inf without stays
+	off      int32
+	distinct int32
+}
+
 // bucket aggregates the stay events of one time slice.
 type bucket struct {
-	stayStarts map[indoor.RegionID]int // stay events starting here, by region
-	stayEnds   map[indoor.RegionID]int // stay events ending here, by region
-	starts     []eventRef              // the start events themselves (lazy-deleted)
-	ends       []eventRef              // the end events themselves (lazy-deleted)
-	seqIDs     []int32                 // sequences with a stay period intersecting the bucket
+	stayStarts []int32    // stay events starting here, by slot
+	stayEnds   []int32    // stay events ending here, by slot
+	starts     []eventRef // the start events themselves (lazy-deleted)
+	ends       []eventRef // the end events themselves (lazy-deleted)
+	seqIDs     []int32    // sequences with a stay period intersecting the bucket
 }
 
 // eventRef is one endpoint of a stay event.
 type eventRef struct {
-	seq    int32
-	region indoor.RegionID
-	t      float64
+	seq  int32
+	slot int32
+	t    float64
 }
 
 const (
@@ -161,6 +205,7 @@ func (ix *Index) Add(ms seq.MSSequence) {
 	end := ms.Semantics[len(ms.Semantics)-1].End
 	idx := int32(len(ix.seqs))
 	ix.seqs = append(ix.seqs, idxSeq{ms: ms, end: end})
+	ix.sums = append(ix.sums, ix.summarize(ms))
 	ix.alive++
 	ix.aliveSem += len(ms.Semantics)
 	if !ix.hasMax || end > ix.maxEnd {
@@ -176,6 +221,63 @@ func (ix *Index) Add(ms seq.MSSequence) {
 	if dead := len(ix.seqs) - ix.alive; dead >= compactMinDead && dead > ix.alive {
 		ix.compact()
 	}
+}
+
+// slot returns region r's slot, assigning the next one on first sight.
+func (ix *Index) slot(r indoor.RegionID) int32 {
+	s, ok := ix.slotOf[r]
+	if !ok {
+		if ix.slotOf == nil {
+			ix.slotOf = map[indoor.RegionID]int32{}
+		}
+		s = int32(len(ix.regions))
+		ix.slotOf[r] = s
+		ix.regions = append(ix.regions, r)
+	}
+	return s
+}
+
+// summarize appends ms's slot lists to the arena and returns its
+// summary.
+func (ix *Index) summarize(ms seq.MSSequence) seqSummary {
+	sum := seqSummary{minEnd: math.Inf(1), maxStart: math.Inf(-1), off: int32(len(ix.arena))}
+	for _, m := range ms.Semantics {
+		slot := int32(-1)
+		if m.Event == seq.Stay {
+			slot = ix.slot(m.Region)
+			sum.minEnd = math.Min(sum.minEnd, m.End)
+			sum.maxStart = math.Max(sum.maxStart, m.Start)
+		}
+		ix.arena = append(ix.arena, slot)
+	}
+	lo := len(ix.arena)
+	for _, slot := range ix.arena[sum.off:lo] {
+		if slot >= 0 {
+			ix.arena = append(ix.arena, slot)
+		}
+	}
+	// Slots and regions correspond one to one, so sorting by region
+	// brings equal slots together.
+	distinct := ix.arena[lo:]
+	slices.SortFunc(distinct, func(a, b int32) int { return cmp.Compare(ix.regions[a], ix.regions[b]) })
+	distinct = slices.Compact(distinct)
+	ix.arena = ix.arena[:lo+len(distinct)]
+	sum.distinct = int32(len(distinct))
+	return sum
+}
+
+// semSlots returns seq idx's per-triple slots (-1 for non-stays).
+func (ix *Index) semSlots(idx int32) []int32 {
+	off := ix.sums[idx].off
+	return ix.arena[off : off+int32(len(ix.seqs[idx].ms.Semantics))]
+}
+
+// distinctSlots returns seq idx's distinct stay slots, sorted by
+// RegionID.
+func (ix *Index) distinctSlots(idx int32) []int32 {
+	sum := &ix.sums[idx]
+	lo := sum.off + int32(len(ix.seqs[idx].ms.Semantics))
+	return ix.arena[lo : lo+sum.distinct]
 }
 
 // ensureCoverage extends the ring to cover seq idx's stay events. It
@@ -259,23 +361,21 @@ func spanAt(lo, hi float64, width float64) int64 {
 // indexEvents registers seq idx's stay events in the (already
 // covering) ring.
 func (ix *Index) indexEvents(idx int32) {
-	for _, m := range ix.seqs[idx].ms.Semantics {
-		if m.Event != seq.Stay {
+	slots := ix.semSlots(idx)
+	for i, m := range ix.seqs[idx].ms.Semantics {
+		slot := slots[i]
+		if slot < 0 {
 			continue
 		}
 		ks, ke := ix.keyOf(m.Start), ix.keyOf(m.End)
 		bs := &ix.buckets[ks-ix.base]
-		if bs.stayStarts == nil {
-			bs.stayStarts = map[indoor.RegionID]int{}
-		}
-		bs.stayStarts[m.Region]++
-		bs.starts = append(bs.starts, eventRef{seq: idx, region: m.Region, t: m.Start})
+		bs.stayStarts = coverSlot(bs.stayStarts, slot)
+		bs.stayStarts[slot]++
+		bs.starts = append(bs.starts, eventRef{seq: idx, slot: slot, t: m.Start})
 		be := &ix.buckets[ke-ix.base]
-		if be.stayEnds == nil {
-			be.stayEnds = map[indoor.RegionID]int{}
-		}
-		be.stayEnds[m.Region]++
-		be.ends = append(be.ends, eventRef{seq: idx, region: m.Region, t: m.End})
+		be.stayEnds = coverSlot(be.stayEnds, slot)
+		be.stayEnds[slot]++
+		be.ends = append(be.ends, eventRef{seq: idx, slot: slot, t: m.End})
 		for k := ks; k <= ke; k++ {
 			b := &ix.buckets[k-ix.base]
 			if n := len(b.seqIDs); n == 0 || b.seqIDs[n-1] != idx {
@@ -283,6 +383,15 @@ func (ix *Index) indexEvents(idx int32) {
 			}
 		}
 	}
+}
+
+// coverSlot extends a per-slot count slice with zeros so it covers
+// slot.
+func coverSlot(counts []int32, slot int32) []int32 {
+	if int(slot) < len(counts) {
+		return counts
+	}
+	return append(counts, make([]int32, int(slot)+1-len(counts))...)
 }
 
 // rebuild re-creates the ring at the given width from the live
@@ -301,11 +410,11 @@ func (ix *Index) rebuild(width float64) {
 	}
 }
 
-// compact drops dead sequences entirely: the seqs slice, the heap and
-// the ring are rebuilt over the live survivors, preserving insertion
-// order (and with it Snapshot order). The width is re-fit to the
-// surviving span, so resolution lost to since-evicted outliers comes
-// back.
+// compact drops dead sequences entirely: the seqs slice, the
+// summaries with their slot table, the heap and the ring are rebuilt
+// over the live survivors, preserving insertion order (and with it
+// Snapshot order). The width is re-fit to the surviving span, so
+// resolution lost to since-evicted outliers comes back.
 func (ix *Index) compact() {
 	live := make([]idxSeq, 0, ix.alive)
 	for i := range ix.seqs {
@@ -314,6 +423,11 @@ func (ix *Index) compact() {
 		}
 	}
 	ix.seqs = live
+	ix.slotOf, ix.regions = nil, nil
+	ix.sums, ix.arena = make([]seqSummary, 0, len(live)), nil
+	for i := range ix.seqs {
+		ix.sums = append(ix.sums, ix.summarize(ix.seqs[i].ms))
+	}
 	ix.heap = ix.heap[:0]
 	for i := range ix.seqs {
 		ix.heapPush(int32(i))
@@ -353,17 +467,11 @@ func (ix *Index) kill(idx int32) {
 	s.dead = true
 	ix.alive--
 	ix.aliveSem -= len(s.ms.Semantics)
-	for _, m := range s.ms.Semantics {
-		if m.Event != seq.Stay {
-			continue
-		}
-		bs := &ix.buckets[ix.keyOf(m.Start)-ix.base]
-		if bs.stayStarts[m.Region]--; bs.stayStarts[m.Region] == 0 {
-			delete(bs.stayStarts, m.Region)
-		}
-		be := &ix.buckets[ix.keyOf(m.End)-ix.base]
-		if be.stayEnds[m.Region]--; be.stayEnds[m.Region] == 0 {
-			delete(be.stayEnds, m.Region)
+	slots := ix.semSlots(idx)
+	for i, m := range s.ms.Semantics {
+		if slot := slots[i]; slot >= 0 {
+			ix.buckets[ix.keyOf(m.Start)-ix.base].stayStarts[slot]--
+			ix.buckets[ix.keyOf(m.End)-ix.base].stayEnds[slot]--
 		}
 	}
 }
@@ -480,6 +588,24 @@ const GenerationJump = uint64(1) << 32
 // cannot collide with generations the restored process will publish.
 const genRestoreJump = GenerationJump
 
+// querySlots maps a query region set onto slots. slots lists the
+// slots of q's stored regions once each, in q's order; pos maps every
+// slot to its position in slots, or -1 when its region is not in q.
+// Regions the index never stored have no slot and drop out.
+func (ix *Index) querySlots(q []indoor.RegionID) (pos, slots []int32) {
+	pos = make([]int32, len(ix.regions))
+	for i := range pos {
+		pos[i] = -1
+	}
+	for _, r := range q {
+		if s, ok := ix.slotOf[r]; ok && pos[s] < 0 {
+			pos[s] = int32(len(slots))
+			slots = append(slots, s)
+		}
+	}
+	return pos, slots
+}
+
 // TopKPopularRegions answers a TkPRQ over the live sequences, with
 // results identical to TopKPopularRegions over Snapshot().
 func (ix *Index) TopKPopularRegions(q []indoor.RegionID, w Window, k int) []RegionCount {
@@ -494,14 +620,15 @@ func (ix *Index) TopKPopularRegions(q []indoor.RegionID, w Window, k int) []Regi
 		// special-case the prefix-sum identity, which assumes order.
 		return TopKPopularRegions(ix.Snapshot(), q, w, k)
 	}
-	qs := regionSet(q)
-	counts := map[indoor.RegionID]int{}
-	ix.accumulate(counts, qs, w.End, false, +1)  // +#{Start <= w.End}
-	ix.accumulate(counts, qs, w.Start, true, -1) // -#{End < w.Start}
-	out := make([]RegionCount, 0, len(counts))
-	for r, c := range counts {
+	pos, slots := ix.querySlots(q)
+	// counts is indexed by query position.
+	counts := make([]int, len(slots))
+	ix.accumulate(counts, pos, slots, w.End, false, +1)  // +#{Start <= w.End}
+	ix.accumulate(counts, pos, slots, w.Start, true, -1) // -#{End < w.Start}
+	out := make([]RegionCount, 0, len(slots))
+	for p, c := range counts {
 		if c > 0 {
-			out = append(out, RegionCount{r, c})
+			out = append(out, RegionCount{ix.regions[slots[p]], c})
 		}
 	}
 	sortRegionCounts(out)
@@ -509,10 +636,10 @@ func (ix *Index) TopKPopularRegions(q []indoor.RegionID, w Window, k int) []Regi
 }
 
 // accumulate adds sign * #{events with endpoint before cutoff} to
-// counts, per region restricted to qs. ends selects which endpoint:
-// start times compare inclusively (Start <= cutoff), end times
-// strictly (End < cutoff), matching the TkPRQ identity.
-func (ix *Index) accumulate(counts map[indoor.RegionID]int, qs map[indoor.RegionID]bool, cutoff float64, ends bool, sign int) {
+// counts, per query position (see querySlots). ends selects which
+// endpoint: start times compare inclusively (Start <= cutoff), end
+// times strictly (End < cutoff), matching the TkPRQ identity.
+func (ix *Index) accumulate(counts []int, pos, slots []int32, cutoff float64, ends bool, sign int) {
 	if len(ix.buckets) == 0 {
 		return
 	}
@@ -523,9 +650,9 @@ func (ix *Index) accumulate(counts map[indoor.RegionID]int, qs map[indoor.Region
 		if ends {
 			agg = ix.buckets[b].stayEnds
 		}
-		for r, c := range agg {
-			if qs[r] {
-				counts[r] += sign * c
+		for p, s := range slots {
+			if int(s) < len(agg) {
+				counts[p] += sign * int(agg[s])
 			}
 		}
 	}
@@ -537,11 +664,12 @@ func (ix *Index) accumulate(counts map[indoor.RegionID]int, qs map[indoor.Region
 		evs = ix.buckets[edge].ends
 	}
 	for _, ev := range evs {
-		if ix.seqs[ev.seq].dead || !qs[ev.region] {
+		p := pos[ev.slot]
+		if p < 0 || ix.seqs[ev.seq].dead {
 			continue
 		}
 		if (!ends && ev.t <= cutoff) || (ends && ev.t < cutoff) {
-			counts[ev.region] += sign
+			counts[p] += sign
 		}
 	}
 }
@@ -575,47 +703,78 @@ func (ix *Index) TopKFrequentPairs(q []indoor.RegionID, w Window, k int) []PairC
 	if len(ix.buckets) == 0 {
 		return make([]PairCount, 0)
 	}
+	pos, slots := ix.querySlots(q)
+	nq := len(slots)
+	if nq < 2 {
+		return make([]PairCount, 0)
+	}
+	// Pair (i, j), i < j query positions, lives at row[i] + j.
+	row := make([]int, nq)
+	for i := range row {
+		row[i] = i*(2*nq-i-1)/2 - i - 1
+	}
+	pairs := make([]int32, nq*(nq-1)/2)
+	seen := make([]uint64, (len(ix.seqs)+63)/64)
+	stamp := make([]int32, nq) // the recount (numbered from 1) that last counted each position
+	visit := make([]int32, 0, nq)
 	b0 := max(ix.cutoffBucket(w.Start), 0)
 	b1 := min(ix.cutoffBucket(w.End), len(ix.buckets)-1)
-	counts := map[[2]indoor.RegionID]int{}
-	qs := regionSet(q)
-	seen := map[int32]bool{}
-	var regions []indoor.RegionID
+	var cand int32
 	for b := b0; b <= b1; b++ {
 		for _, idx := range ix.buckets[b].seqIDs {
-			if seen[idx] || ix.seqs[idx].dead {
+			word, bit := idx>>6, uint64(1)<<(idx&63)
+			if seen[word]&bit != 0 || ix.seqs[idx].dead {
 				continue
 			}
-			seen[idx] = true
-			regions = regions[:0]
-			for _, m := range ix.seqs[idx].ms.Semantics {
-				if m.Event == seq.Stay && qs[m.Region] && w.Contains(m) && !containsRegion(regions, m.Region) {
-					regions = append(regions, m.Region)
+			seen[word] |= bit
+			visit = visit[:0]
+			if sum := &ix.sums[idx]; sum.minEnd >= w.Start && sum.maxStart <= w.End {
+				// Every stay meets the window: the stored distinct
+				// slots are the visits.
+				for _, s := range ix.distinctSlots(idx) {
+					if p := pos[s]; p >= 0 {
+						visit = append(visit, p)
+					}
+				}
+			} else {
+				cand++
+				sem := ix.semSlots(idx)
+				for i, m := range ix.seqs[idx].ms.Semantics {
+					if s := sem[i]; s >= 0 {
+						if p := pos[s]; p >= 0 && stamp[p] != cand && w.Contains(m) {
+							stamp[p] = cand
+							visit = append(visit, p)
+						}
+					}
 				}
 			}
-			sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
-			for i := 0; i < len(regions); i++ {
-				for j := i + 1; j < len(regions); j++ {
-					counts[[2]indoor.RegionID{regions[i], regions[j]}]++
+			for a, i := range visit {
+				for _, j := range visit[a+1:] {
+					if i > j {
+						pairs[row[j]+int(i)]++
+					} else {
+						pairs[row[i]+int(j)]++
+					}
 				}
 			}
 		}
 	}
-	out := make([]PairCount, 0, len(counts))
-	for p, c := range counts {
-		out = append(out, PairCount{p[0], p[1], c})
+	out := make([]PairCount, 0)
+	for i := 0; i < nq; i++ {
+		for j := i + 1; j < nq; j++ {
+			c := pairs[row[i]+j]
+			if c == 0 {
+				continue
+			}
+			a, b := ix.regions[slots[i]], ix.regions[slots[j]]
+			if a > b {
+				a, b = b, a
+			}
+			out = append(out, PairCount{a, b, int(c)})
+		}
 	}
 	sortPairCounts(out)
 	return TruncatePairCounts(out, k)
-}
-
-func containsRegion(rs []indoor.RegionID, r indoor.RegionID) bool {
-	for _, x := range rs {
-		if x == r {
-			return true
-		}
-	}
-	return false
 }
 
 // heapPush / heapPop maintain the eviction min-heap on sequence end.

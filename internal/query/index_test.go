@@ -50,11 +50,15 @@ func (m *mirrorStore) semantics() int {
 	return n
 }
 
+// digitRegions is the default region palette, IDs 0..9.
+var digitRegions = []indoor.RegionID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+
 // randomMS builds a sequence of 1..5 time-ordered semantics with
-// random regions, a mix of stays and passes, and periods anywhere in
-// [lo, hi) — sequence end times across calls are deliberately NOT
-// monotone, exercising out-of-order eviction.
-func randomMS(rng *rand.Rand, id int, lo, hi float64) seq.MSSequence {
+// regions drawn from palette, a mix of stays and passes, and periods
+// anywhere in [lo, hi), separated by pauses of up to gap × the span —
+// sequence end times across calls are deliberately NOT monotone,
+// exercising out-of-order eviction.
+func randomMS(rng *rand.Rand, id int, lo, hi float64, palette []indoor.RegionID, gap float64) seq.MSSequence {
 	n := 1 + rng.Intn(5)
 	ms := seq.MSSequence{ObjectID: fmt.Sprintf("obj%d", id)}
 	t := lo + rng.Float64()*(hi-lo)*0.8
@@ -65,75 +69,102 @@ func randomMS(rng *rand.Rand, id int, lo, hi float64) seq.MSSequence {
 			ev = seq.Pass
 		}
 		ms.Semantics = append(ms.Semantics, seq.MSemantics{
-			Region: indoor.RegionID(rng.Intn(10)),
+			Region: palette[rng.Intn(len(palette))],
 			Start:  t,
 			End:    t + d,
 			Event:  ev,
 		})
-		t += d + rng.Float64()*(hi-lo)*0.02
+		t += d + rng.Float64()*(hi-lo)*gap
 	}
 	return ms
+}
+
+// checkIndex compares both index queries and Len against the
+// brute-force recount over the mirror's retained sequences.
+func checkIndex(t *testing.T, step string, s *Store, mirror *mirrorStore, q []indoor.RegionID, w Window, k int) {
+	t.Helper()
+	if got, want := s.TopKPopularRegions(q, w, k), TopKPopularRegions(mirror.mss, q, w, k); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: TopKPopularRegions(%v, %v, %d)\n got %v\nwant %v", step, q, w, k, got, want)
+	}
+	if got, want := s.TopKFrequentPairs(q, w, k), TopKFrequentPairs(mirror.mss, q, w, k); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: TopKFrequentPairs(%v, %v, %d)\n got %v\nwant %v", step, q, w, k, got, want)
+	}
+	seqs, sems := s.Len()
+	if seqs != len(mirror.mss) || sems != mirror.semantics() {
+		t.Fatalf("%s: Len = (%d, %d), want (%d, %d)", step, seqs, sems, len(mirror.mss), mirror.semantics())
+	}
 }
 
 // TestIndexMatchesBruteForce is the exactness property: under random
 // adds (with out-of-order end times) and retention evictions, the
 // bucketed top-k answers equal a brute-force recount over the
-// retained sequences, for random windows, query sets and k.
+// retained sequences, for random windows, query sets and k. Queries
+// run every fifth add and right after every add that evicted or
+// compacted; query sets mix stored regions with duplicates and regions
+// the index never stored, and some windows sit exactly on stored stay
+// endpoints, where Window.Contains is inclusive.
 func TestIndexMatchesBruteForce(t *testing.T) {
-	allRegions := make([]indoor.RegionID, 10)
-	for i := range allRegions {
-		allRegions[i] = indoor.RegionID(i)
-	}
+	digits := digitRegions
+	odd := []indoor.RegionID{-(1 << 40), -7, -1, 0, 5, 1 << 40}
 	cases := []struct {
 		name      string
 		retention float64
 		lo, hi    float64
+		palette   []indoor.RegionID
+		gap       float64 // max pause between stays, as a share of the span
 	}{
-		{"unbounded", 0, 0, 2000},
-		{"windowed", 300, 0, 2000},
-		{"tight-window", 40, 0, 2000},
-		{"negative-times", 250, -5000, 1000},
-		{"wide-span-coarsens", 0, 0, 500000}, // >> maxBuckets * defaultWidth
-		{"wide-span-windowed", 20000, 0, 500000},
+		{"unbounded", 0, 0, 2000, digits, 0.02},
+		{"windowed", 300, 0, 2000, digits, 0.02},
+		{"tight-window", 40, 0, 2000, digits, 0.02},
+		{"negative-times", 250, -5000, 1000, digits, 0.02},
+		{"wide-span-coarsens", 0, 0, 500000, digits, 0.02}, // >> maxBuckets * defaultWidth
+		{"wide-span-windowed", 20000, 0, 500000, digits, 0.02},
+		{"odd-region-ids", 0, 0, 2000, odd, 0.02},
+		{"odd-region-ids-windowed", 150, 0, 2000, odd, 0.02},
+		{"gapped-stays", 0, 0, 2000, digits, 0.25},
+		{"gapped-stays-windowed", 200, 0, 2000, digits, 0.25},
 	}
+	var evicted, compacted int
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + ci)))
 			s := NewStore(tc.retention)
 			mirror := &mirrorStore{retention: tc.retention}
 			for i := 0; i < 400; i++ {
-				ms := randomMS(rng, i, tc.lo, tc.hi)
+				ms := randomMS(rng, i, tc.lo, tc.hi, tc.palette, tc.gap)
 				if i%31 == 0 {
 					ms.Semantics = nil // empty sequences are ignored
 				}
+				stored, kept := len(s.ix.seqs), len(mirror.mss)
 				s.Add(ms)
 				mirror.add(ms)
-				if i%5 != 0 {
+				evicts := len(mirror.mss) < kept+min(len(ms.Semantics), 1)
+				compacts := len(s.ix.seqs) < stored
+				if evicts {
+					evicted++
+				}
+				if compacts {
+					compacted++
+				}
+				if i%5 != 0 && !evicts && !compacts {
 					continue
 				}
 				// Random query: window, region subset, k.
 				a := tc.lo + rng.Float64()*(tc.hi-tc.lo)
 				b := tc.lo + rng.Float64()*(tc.hi-tc.lo)
+				if len(mirror.mss) > 0 && rng.Intn(3) == 0 {
+					a, b = stayEndpoint(rng, mirror.mss), stayEndpoint(rng, mirror.mss)
+				}
 				w := Window{Start: min(a, b), End: max(a, b)}
-				q := allRegions
+				q := tc.palette
 				if rng.Intn(2) == 0 {
-					q = allRegions[:1+rng.Intn(len(allRegions))]
+					q = tc.palette[:1+rng.Intn(len(tc.palette))]
+				}
+				if rng.Intn(3) == 0 {
+					q = append(append([]indoor.RegionID{1 << 41, -12345}, q...), q[0])
 				}
 				k := 1 + rng.Intn(6)
-
-				if got, want := s.TopKPopularRegions(q, w, k), TopKPopularRegions(mirror.mss, q, w, k); !reflect.DeepEqual(got, want) {
-					t.Fatalf("step %d: TopKPopularRegions(%v, %v, %d)\n got %v\nwant %v",
-						i, q, w, k, got, want)
-				}
-				if got, want := s.TopKFrequentPairs(q, w, k), TopKFrequentPairs(mirror.mss, q, w, k); !reflect.DeepEqual(got, want) {
-					t.Fatalf("step %d: TopKFrequentPairs(%v, %v, %d)\n got %v\nwant %v",
-						i, q, w, k, got, want)
-				}
-				seqs, sems := s.Len()
-				if seqs != len(mirror.mss) || sems != mirror.semantics() {
-					t.Fatalf("step %d: Len = (%d, %d), want (%d, %d)",
-						i, seqs, sems, len(mirror.mss), mirror.semantics())
-				}
+				checkIndex(t, fmt.Sprintf("step %d", i), s, mirror, q, w, k)
 			}
 			// Final full-content check.
 			if got, want := s.Snapshot(), mirror.mss; !reflect.DeepEqual(got, append([]seq.MSSequence{}, want...)) {
@@ -141,6 +172,94 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 			}
 		})
 	}
+	if evicted == 0 || compacted == 0 {
+		t.Fatalf("no query ran after an eviction (%d) or a compaction (%d)", evicted, compacted)
+	}
+}
+
+// stayEndpoint returns the Start or End of a random semantics triple
+// of a random retained sequence.
+func stayEndpoint(rng *rand.Rand, mss []seq.MSSequence) float64 {
+	sem := mss[rng.Intn(len(mss))].Semantics
+	m := sem[rng.Intn(len(sem))]
+	if rng.Intn(2) == 0 {
+		return m.Start
+	}
+	return m.End
+}
+
+// fuzzRegions is the fuzz target's region palette: negative, zero and
+// huge IDs side by side.
+var fuzzRegions = []indoor.RegionID{-(1 << 40), -3, 0, 1, 7, 1 << 40}
+
+// FuzzIndexMatchesBruteForce decodes ops into adds and queries against
+// a store with the given retention (0 keeps everything) and checks
+// every query against the brute-force recount. Times are small
+// integers, so window bounds often coincide with stay endpoints, and
+// the stream clock may step back, so sequence ends arrive out of
+// order.
+//
+// An op byte whose low two bits are 3 is a query: one byte of region
+// mask (bits 0–5 select fuzzRegions, bit 6 adds a never-stored region,
+// bit 7 repeats the first one), two window-bound bytes below the clock
+// (possibly inverted) and a k byte. Any other op byte adds a sequence
+// of 1 + op/4%4 triples starting up to 63 s before the clock, each
+// from a region/event/gap byte and a duration byte; the clock then
+// advances by op/16.
+func FuzzIndexMatchesBruteForce(f *testing.F) {
+	f.Add(uint8(0), []byte{0x10, 0, 2, 10, 1, 5, 0x13, 0x0f, 0, 40, 3})
+	f.Add(uint8(20), []byte{0xf4, 0, 0x29, 10, 0x42, 7, 0xf0, 5, 0x18, 3, 0x03, 0xff, 30, 0, 2})
+	f.Fuzz(func(t *testing.T, retention uint8, ops []byte) {
+		next := func() int {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int(b)
+		}
+		s := NewStore(float64(retention))
+		mirror := &mirrorStore{retention: float64(retention)}
+		clock := 0.0
+		for n := 0; len(ops) > 0; n++ {
+			op := next()
+			if op%4 != 3 {
+				ms := seq.MSSequence{ObjectID: fmt.Sprint(n)}
+				t0 := clock - float64(next()%64)
+				for j := 0; j < 1+op/4%4; j++ {
+					b, d := next(), float64(next()%32)
+					ev := seq.Stay
+					if b&0x80 != 0 {
+						ev = seq.Pass
+					}
+					ms.Semantics = append(ms.Semantics, seq.MSemantics{
+						Region: fuzzRegions[b%len(fuzzRegions)], Start: t0, End: t0 + d, Event: ev,
+					})
+					t0 += d + float64(b>>3&7)
+				}
+				clock += float64(op / 16)
+				s.Add(ms)
+				mirror.add(ms)
+				continue
+			}
+			mask := next()
+			var q []indoor.RegionID
+			for i, r := range fuzzRegions {
+				if mask>>i&1 != 0 {
+					q = append(q, r)
+				}
+			}
+			if mask&0x40 != 0 {
+				q = append(q, 12345)
+			}
+			if mask&0x80 != 0 && len(q) > 0 {
+				q = append(q, q[0])
+			}
+			w := Window{Start: clock - float64(next()), End: clock - float64(next())}
+			checkIndex(t, fmt.Sprintf("op %d", n), s, mirror, q, w, next()%6)
+		}
+		checkIndex(t, "final", s, mirror, fuzzRegions, Window{Start: -1e9, End: 1e9}, 10)
+	})
 }
 
 // TestIndexOutOfOrderEviction pins the eviction fix: a stale sequence

@@ -53,7 +53,7 @@ func TestIndexSnapshotRestoreProperty(t *testing.T) {
 			// records added since; nil until the first capture.
 			var restored *Index
 			for i := 0; i < 400; i++ {
-				ms := randomMS(rng, i, tc.lo, tc.hi)
+				ms := randomMS(rng, i, tc.lo, tc.hi, digitRegions, 0.02)
 				live.Add(ms)
 				if restored != nil {
 					restored.Add(ms)
@@ -130,7 +130,7 @@ func TestStoreSnapshotRestoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := NewStore(500)
 	for i := 0; i < 100; i++ {
-		s.Add(randomMS(rng, i, 0, 3000))
+		s.Add(randomMS(rng, i, 0, 3000, digitRegions, 0.02))
 	}
 	fresh := NewStore(0)
 	if err := fresh.RestoreState(s.SnapshotState()); err != nil {
@@ -147,7 +147,7 @@ func TestStoreSnapshotRestoreRoundTrip(t *testing.T) {
 	// The restored store adopted the snapshot's retention: continued
 	// ingestion keeps evicting identically.
 	for i := 100; i < 160; i++ {
-		ms := randomMS(rng, i, 2000, 6000)
+		ms := randomMS(rng, i, 2000, 6000, digitRegions, 0.02)
 		s.Add(ms)
 		fresh.Add(ms)
 	}

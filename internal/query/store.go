@@ -16,10 +16,14 @@ import (
 //
 // Internally the store maintains an Index — an incrementally updated,
 // time-bucketed aggregate of per-region stay counts and per-bucket
-// candidate sequences — so the top-k queries cost on the order of the
+// candidate sequences, with a per-sequence stay summary, all indexed by
+// dense region slots — so the top-k queries cost on the order of the
 // bucket count plus the activity inside the queried window, not a
 // recount of every retained semantics triple. Answers are exact: they
-// equal the brute-force queries over Snapshot().
+// equal the brute-force queries over Snapshot(). Queries share the
+// read lock: each allocates its own scratch and only reads the index,
+// so any number run concurrently, serialised only against Add and
+// RestoreState.
 //
 // A positive retention turns the store into a sliding window over
 // stream time: whenever a new ms-sequence advances the maximum period

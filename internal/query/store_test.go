@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -81,25 +82,46 @@ func TestStoreSnapshotIsolated(t *testing.T) {
 	}
 }
 
+// TestStoreConcurrentAddAndQuery races both query kinds against Adds
+// that keep introducing new regions (growing the slot table and the
+// per-bucket slot slices) and advancing stream time past the retention
+// horizon (evicting and compacting), then checks the settled store
+// against the brute-force recount. Run it under -race.
 func TestStoreConcurrentAddAndQuery(t *testing.T) {
-	s := NewStore(500)
+	s := NewStore(50)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				t0 := float64(g*200 + i)
-				s.Add(storeMS("obj", stay(indoor.RegionID(i%5), t0, t0+1)))
-				if i%10 == 0 {
-					s.TopKPopularRegions([]indoor.RegionID{0, 1, 2, 3, 4}, Window{0, 1e9}, 3)
+			q := make([]indoor.RegionID, 0, 8)
+			for i := 0; i < 300; i++ {
+				t0 := float64(i)
+				fresh := indoor.RegionID(1000*(g+1) + i) // a region no Add named before
+				s.Add(storeMS(fmt.Sprintf("g%d-%d", g, i),
+					stay(indoor.RegionID(i%5), t0, t0+2), stay(fresh, t0+1, t0+3)))
+				if i%10 != 0 {
+					continue
 				}
+				q = append(q[:0], 0, 1, 2, 3, 4, fresh, fresh-1, indoor.RegionID(1000*((g+1)%4+1)+i))
+				w := Window{Start: t0 - 40, End: t0 + 5}
+				s.TopKPopularRegions(q, w, 3)
+				s.TopKFrequentPairs(q, w, 3)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if seqs, _ := s.Len(); seqs == 0 {
-		t.Fatal("store empty after concurrent adds")
+	if seqs, _ := s.Len(); seqs == 0 || seqs == 4*300 {
+		t.Fatalf("%d sequences stored after 1200 adds, want some evicted and some kept", seqs)
+	}
+	snap := s.Snapshot()
+	q := []indoor.RegionID{0, 1, 2, 3, 4, 1299, 2299, 3299, 4299, 1298, 2298}
+	w := Window{Start: 250, End: 300}
+	if got, want := s.TopKPopularRegions(q, w, 10), TopKPopularRegions(snap, q, w, 10); !reflect.DeepEqual(got, want) {
+		t.Errorf("settled TopKPopularRegions: got %v want %v", got, want)
+	}
+	if got, want := s.TopKFrequentPairs(q, w, 10), TopKFrequentPairs(snap, q, w, 10); !reflect.DeepEqual(got, want) {
+		t.Errorf("settled TopKFrequentPairs: got %v want %v", got, want)
 	}
 }
 

@@ -24,11 +24,17 @@ func adminReq(t *testing.T, method, url, token string) *http.Response {
 	if token != "" {
 		req.Header.Set("Authorization", "Bearer "+token)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := noRedirectClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// noRedirectClient hands back 3xx responses as they are, so tests see
+// a redirect instead of wherever it leads.
+var noRedirectClient = &http.Client{
+	CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
 }
 
 func envelopeCode(t *testing.T, resp *http.Response) string {
@@ -64,8 +70,10 @@ func TestRouterAdminMirror(t *testing.T) {
 	}
 }
 
-// TestRouterFormerAliasesAreGone: the pre-consolidation /admin/* mounts
-// and the bare probes answer the typed 404 envelope — token or not —
+// TestRouterFormerAliasesAreGone: the pre-consolidation /admin/* mounts,
+// the bare probes, the bare venue path (with or without a trailing
+// slash) and venue paths msserve does not serve answer the typed
+// 404/405 envelope — token or not, never a redirect, never forwarded —
 // and no response carries a Deprecation header.
 func TestRouterFormerAliasesAreGone(t *testing.T) {
 	a := newFakeBackend(t)
@@ -84,12 +92,24 @@ func TestRouterFormerAliasesAreGone(t *testing.T) {
 		{"DELETE", "/admin/pins"},
 		{"POST", "/admin/migrate"},
 		{"POST", "/v1/venues"},
+		{"GET", "/v1/venues/north"},
+		{"DELETE", "/v1/venues/north"},
+		{"POST", "/v1/venues/north"},
+		{"GET", "/v1/venues/north/"},
+		{"GET", "/v1/venues/north/unknown"},
+		{"DELETE", "/v1/venues/north/feed"},
+		{"POST", "/v1/venues/north/stats"},
 	} {
 		resp := adminReq(t, c.method, srv.URL+c.path, "sesame")
 		if got := resp.Header.Get("Deprecation"); got != "" {
 			t.Errorf("%s %s Deprecation %q", c.method, c.path, got)
 		}
 		status := resp.StatusCode
+		if status >= 300 && status < 400 {
+			resp.Body.Close()
+			t.Errorf("%s %s: redirect %d to %q", c.method, c.path, status, resp.Header.Get("Location"))
+			continue
+		}
 		code := envelopeCode(t, resp)
 		if !(status == http.StatusNotFound && code == "not_found") &&
 			!(status == http.StatusMethodNotAllowed && code == "method_not_allowed") {

@@ -239,13 +239,26 @@ func (rt *Router) routes() *http.ServeMux {
 	mux.HandleFunc("GET /v1/query/frequent-pairs", rt.handleTopKSugar)
 	mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	mux.HandleFunc("GET /v1/venues", rt.handleListVenues)
-	mux.HandleFunc("/v1/venues/{venue}/{rest...}", rt.handleVenueScoped)
 	mux.HandleFunc("POST /v1/annotate", rt.handleBareVenuePath)
 	mux.HandleFunc("POST /v1/feed", rt.handleBareVenuePath)
 	mux.HandleFunc("POST /v1/flush", rt.handleFlush)
-	// Continuous queries: the fleet push plane (see watch.go). The
-	// venue-scoped literal pattern outranks the {rest...} catch-alls
-	// above, so watch streams never hit the buffering proxy path.
+	// The venue-scoped data plane mirrors msserve's route for route, so
+	// any other /v1/venues/... path (the bare venue included) answers
+	// the router's own 404/405 envelope instead of reaching a backend
+	// or drawing a ServeMux trailing-slash redirect.
+	for _, pattern := range []string{
+		"POST /v1/venues/{venue}/annotate",
+		"POST /v1/venues/{venue}/feed",
+		"POST /v1/venues/{venue}/flush",
+		"GET /v1/venues/{venue}/query/popular-regions",
+		"GET /v1/venues/{venue}/query/frequent-pairs",
+		"GET /v1/venues/{venue}/stats",
+		"GET /v1/venues/{venue}/model",
+	} {
+		mux.HandleFunc(pattern, rt.handleVenueScoped)
+	}
+	// Continuous queries: the fleet push plane (see watch.go), served
+	// by the router itself rather than the buffering proxy path.
 	mux.HandleFunc("GET /v1/watch", rt.handleWatch)
 	mux.HandleFunc("GET /v1/venues/{venue}/watch", rt.handleWatch)
 	return mux
